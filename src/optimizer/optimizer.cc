@@ -342,6 +342,11 @@ class CompileState {
     return out;
   }
 
+  /// Explore and Implement offer an expression only the rules indexed under
+  /// its kind (RuleRegistry::transformation_rules/implementation_rules), in
+  /// ascending id order; every other rule would have proposed nothing. The
+  /// expression's kind and group are read once up front: Materialize grows
+  /// the memo's expression vector, so no GroupExpr& is held across it.
   void Explore() {
     std::vector<OpTree> proposals;
     // Iterating by ascending ExprId covers expressions added mid-loop, so a
@@ -350,18 +355,18 @@ class CompileState {
       if (Aborted()) return;
       if (memo_.num_exprs() >= options_.max_total_exprs) break;
       if (!memo_.expr(id).is_logical) continue;
-      for (const Rule* rule : registry_.transformation_rules()) {
+      const OpKind kind = memo_.expr(id).op.kind;
+      const GroupId target = memo_.expr(id).group;
+      for (const Rule* rule : registry_.transformation_rules(kind)) {
         if (!config_.IsEnabled(rule->id())) continue;
-        const GroupExpr& expr = memo_.expr(id);  // re-fetch: vector may grow
-        GroupId target = expr.group;
         if (static_cast<int>(memo_.group(target).exprs.size()) >=
             options_.max_exprs_per_group) {
           break;
         }
         proposals.clear();
-        rule->Apply(ctx_, expr, &proposals);
+        rule->Apply(ctx_, memo_.expr(id), &proposals);
         for (OpTree& tree : proposals) {
-          Materialize(tree, target, rule->id(), id);
+          Materialize(std::move(tree), target, rule->id(), id);
           if (memo_.num_exprs() >= options_.max_total_exprs) return;
         }
       }
@@ -374,23 +379,24 @@ class CompileState {
     for (ExprId id = 0; id < logical_count; ++id) {
       if (Aborted()) return;
       if (!memo_.expr(id).is_logical) continue;
-      for (const Rule* rule : registry_.implementation_rules()) {
+      const OpKind kind = memo_.expr(id).op.kind;
+      const GroupId target = memo_.expr(id).group;
+      for (const Rule* rule : registry_.implementation_rules(kind)) {
         if (!config_.IsEnabled(rule->id())) continue;
-        const GroupExpr& expr = memo_.expr(id);
         proposals.clear();
-        rule->Apply(ctx_, expr, &proposals);
+        rule->Apply(ctx_, memo_.expr(id), &proposals);
         for (OpTree& tree : proposals) {
-          Materialize(tree, expr.group, rule->id(), id, /*enforce_cap=*/false);
+          Materialize(std::move(tree), target, rule->id(), id, /*enforce_cap=*/false);
         }
       }
     }
   }
 
-  /// Materializes a rule output into the memo. Internal nodes land in fresh
-  /// groups; the root is added to `target_group`. A leaf at the root aliases
-  /// the leaf group's logical expressions into the target group (group
-  /// equivalence without full merging).
-  void Materialize(const OpTree& tree, GroupId target_group, int rule_id, ExprId source,
+  /// Materializes a rule output into the memo, consuming it. Internal nodes
+  /// land in fresh groups; the root is added to `target_group`. A leaf at
+  /// the root aliases the leaf group's logical expressions into the target
+  /// group (group equivalence without full merging).
+  void Materialize(OpTree&& tree, GroupId target_group, int rule_id, ExprId source,
                    bool enforce_cap = true) {
     if (tree.is_leaf) {
       const Group& leaf = memo_.group(tree.leaf_group);
@@ -398,21 +404,22 @@ class CompileState {
       std::vector<ExprId> to_copy = leaf.exprs;  // snapshot: AddExpr mutates
       for (ExprId eid : to_copy) {
         if (copied >= options_.max_group_alias_copies) break;
-        const GroupExpr e = memo_.expr(eid);  // copy: vector may reallocate
-        if (!e.is_logical) continue;
+        if (!memo_.expr(eid).is_logical) continue;
         if (static_cast<int>(memo_.group(target_group).exprs.size()) >=
             options_.max_exprs_per_group) {
           break;
         }
-        memo_.AddExpr(e.op, e.children, target_group, rule_id, source, e.op_hash);
+        GroupExpr e = memo_.expr(eid);  // copy: AddExpr may reallocate the vector
+        memo_.AddExpr(std::move(e.op), std::move(e.children), target_group, rule_id, source,
+                      e.op_hash);
         ++copied;
       }
       return;
     }
     ChildVec children;
     children.reserve(tree.children.size());
-    for (const OpTree& child : tree.children) {
-      children.push_back(MaterializeChild(child, rule_id, source));
+    for (OpTree& child : tree.children) {
+      children.push_back(MaterializeChild(std::move(child), rule_id, source));
     }
     // The exploration budget only limits *logical* alternatives; every
     // enabled implementation must be able to land, or groups saturated by
@@ -421,17 +428,18 @@ class CompileState {
                            options_.max_exprs_per_group) {
       return;
     }
-    memo_.AddExpr(tree.op, std::move(children), target_group, rule_id, source);
+    memo_.AddExpr(std::move(tree.op), std::move(children), target_group, rule_id, source);
   }
 
-  GroupId MaterializeChild(const OpTree& tree, int rule_id, ExprId source) {
+  GroupId MaterializeChild(OpTree&& tree, int rule_id, ExprId source) {
     if (tree.is_leaf) return tree.leaf_group;
     ChildVec children;
     children.reserve(tree.children.size());
-    for (const OpTree& child : tree.children) {
-      children.push_back(MaterializeChild(child, rule_id, source));
+    for (OpTree& child : tree.children) {
+      children.push_back(MaterializeChild(std::move(child), rule_id, source));
     }
-    ExprId id = memo_.AddExpr(tree.op, std::move(children), kInvalidGroup, rule_id, source);
+    ExprId id =
+        memo_.AddExpr(std::move(tree.op), std::move(children), kInvalidGroup, rule_id, source);
     return memo_.expr(id).group;
   }
 
@@ -495,7 +503,6 @@ class CompileState {
   double ApplyEnforcers(const PhysProp& required, const LogicalStats& stats,
                         PhysProp* delivered, std::vector<Operator>* enforcers) {
     double extra = 0.0;
-    std::vector<const LogicalStats*> child_stats = {&stats};
     if (!required.SatisfiedBy(*delivered)) {
       PhysProp target = *delivered;
       Operator exchange;
@@ -543,9 +550,8 @@ class CompileState {
           break;
       }
       if (need_exchange) {
-        OpCost cost =
-            ComputeOpCost(exchange, stats, child_stats, exchange.dop, options_.cost_params,
-                          est_view_);
+        OpCost cost = ComputeOpCost(exchange, stats, {&stats}, exchange.dop,
+                                    options_.cost_params, est_view_);
         extra += cost.latency;
         enforcers->push_back(std::move(exchange));
         *delivered = target;
@@ -557,7 +563,7 @@ class CompileState {
       sort.sort_keys = required.sort_keys;
       sort.dop = std::max(1, delivered->dop);
       OpCost cost =
-          ComputeOpCost(sort, stats, child_stats, sort.dop, options_.cost_params, est_view_);
+          ComputeOpCost(sort, stats, {&stats}, sort.dop, options_.cost_params, est_view_);
       extra += cost.latency;
       enforcers->push_back(std::move(sort));
       delivered->sort_keys = required.sort_keys;
@@ -806,7 +812,7 @@ class CompileState {
         // Defensive: an option must request exactly one property per child.
         if (opt.child_requests.size() != expr.children.size()) continue;
         double cost = 0.0;
-        std::vector<PhysProp> child_reqs = opt.child_requests;
+        std::vector<PhysProp> child_reqs = std::move(opt.child_requests);
         std::vector<const LogicalStats*> child_stats;
         bool feasible = true;
 

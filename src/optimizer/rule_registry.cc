@@ -13,7 +13,7 @@ namespace {
 /// markers among these are attributed via AttributeMarkerRules.
 class MarkerRule : public Rule {
  public:
-  using Rule::Rule;
+  MarkerRule(RuleId id, std::string name) : Rule(id, std::move(name), std::nullopt) {}
   void Apply(const RuleContext&, const GroupExpr&, std::vector<OpTree>*) const override {}
 };
 
@@ -372,12 +372,16 @@ RuleRegistry::RuleRegistry() {
   }
 
   for (const auto& rule : rules_) {
-    if (rule == nullptr) continue;
-    if (rule->is_implementation()) {
-      implementations_.push_back(rule.get());
-    } else {
-      transformations_.push_back(rule.get());
+    std::optional<OpKind> kind = rule->root_kind();
+    if (!kind.has_value()) continue;  // markers never propose
+    const size_t index = static_cast<size_t>(*kind);
+    if (index >= kNumOpKinds) {
+      std::fprintf(stderr, "rule registry: rule %d has root kind %zu, past kNumOpKinds\n",
+                   rule->id(), index);
+      std::abort();
     }
+    (rule->is_implementation() ? implementations_ : transformations_)[index].push_back(
+        rule.get());
   }
 }
 

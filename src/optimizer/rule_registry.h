@@ -13,6 +13,8 @@
 #ifndef QSTEER_OPTIMIZER_RULE_REGISTRY_H_
 #define QSTEER_OPTIMIZER_RULE_REGISTRY_H_
 
+#include <array>
+#include <cstddef>
 #include <memory>
 #include <string>
 #include <vector>
@@ -76,6 +78,9 @@ constexpr RuleId kUnionAllToUnionAll = 240;
 constexpr RuleId kUnionAllToVirtualDataset = 241;
 }  // namespace rules
 
+/// Number of OpKind values (kOutputWriter is the last).
+constexpr size_t kNumOpKinds = static_cast<size_t>(OpKind::kOutputWriter) + 1;
+
 class RuleRegistry {
  public:
   /// The singleton registry (construction is deterministic and immutable).
@@ -84,7 +89,7 @@ class RuleRegistry {
   RuleRegistry(const RuleRegistry&) = delete;
   RuleRegistry& operator=(const RuleRegistry&) = delete;
 
-  /// Rule object for an id; nullptr for marker-only ids.
+  /// Rule object for an id (a marker id holds a rule that never proposes).
   const Rule* rule(RuleId id) const { return rules_[static_cast<size_t>(id)].get(); }
 
   const std::string& name(RuleId id) const { return names_[static_cast<size_t>(id)]; }
@@ -92,10 +97,17 @@ class RuleRegistry {
   /// RuleId for a name; -1 if unknown.
   RuleId FindByName(const std::string& name) const;
 
-  /// Real transformation rules (logical -> logical), ascending id.
-  const std::vector<const Rule*>& transformation_rules() const { return transformations_; }
-  /// Real implementation rules (logical -> physical), ascending id.
-  const std::vector<const Rule*>& implementation_rules() const { return implementations_; }
+  /// Dispatch index: the transformation (logical -> logical) rules whose
+  /// root_kind() is `kind`, ascending id. Every other rule's Apply returns at
+  /// once on an expression of this kind, so calling only these — in this
+  /// order — proposes exactly what calling every rule would.
+  const std::vector<const Rule*>& transformation_rules(OpKind kind) const {
+    return transformations_[static_cast<size_t>(kind)];
+  }
+  /// As above for implementation (logical -> physical) rules.
+  const std::vector<const Rule*>& implementation_rules(OpKind kind) const {
+    return implementations_[static_cast<size_t>(kind)];
+  }
 
   /// All ids in a category.
   std::vector<RuleId> IdsInCategory(RuleCategory category) const;
@@ -105,8 +117,9 @@ class RuleRegistry {
 
   std::vector<std::unique_ptr<Rule>> rules_;
   std::vector<std::string> names_;
-  std::vector<const Rule*> transformations_;
-  std::vector<const Rule*> implementations_;
+  /// Indexed by OpKind; marker rules are in no list.
+  std::array<std::vector<const Rule*>, kNumOpKinds> transformations_;
+  std::array<std::vector<const Rule*>, kNumOpKinds> implementations_;
 };
 
 /// Marker attribution: required-rule bits implied by features of the final

@@ -807,7 +807,7 @@ void RareShapeRule::Apply(const RuleContext&, const GroupExpr& expr,
   // the generator never emits. They exist so the configuration-search space
   // is honest about unused rules (Table 2).
   (void)out;
-  if (expr.op.kind != match_kind_) return;
+  if (expr.op.kind != root_kind()) return;
   // Matching would additionally require a same-kind child; no plan in this
   // algebra stacks two identical rare operators, so the rule never fires.
 }
@@ -818,7 +818,7 @@ void RareShapeRule::Apply(const RuleContext&, const GroupExpr& expr,
 
 void SimpleImplRule::Apply(const RuleContext&, const GroupExpr& expr,
                            std::vector<OpTree>* out) const {
-  if (expr.op.kind != logical_) return;
+  if (expr.op.kind != root_kind()) return;
   Operator physical = expr.op;
   physical.kind = physical_;
   std::vector<OpTree> children;

@@ -10,6 +10,7 @@
 #define QSTEER_OPTIMIZER_RULES_H_
 
 #include <memory>
+#include <optional>
 #include <string>
 #include <vector>
 
@@ -48,7 +49,11 @@ struct RuleContext {
 
 class Rule {
  public:
-  Rule(RuleId id, std::string name) : id_(id), name_(std::move(name)) {}
+  /// `root_kind` is the one operator kind Apply can match at the root of an
+  /// expression; the registry dispatches the rule on expressions of that kind
+  /// only. Marker rules, which never propose anything, have none.
+  Rule(RuleId id, std::string name, std::optional<OpKind> root_kind)
+      : id_(id), name_(std::move(name)), root_kind_(root_kind) {}
   virtual ~Rule() = default;
   Rule(const Rule&) = delete;
   Rule& operator=(const Rule&) = delete;
@@ -56,18 +61,21 @@ class Rule {
   RuleId id() const { return id_; }
   const std::string& name() const { return name_; }
   RuleCategory category() const { return CategoryOfRule(id_); }
+  std::optional<OpKind> root_kind() const { return root_kind_; }
 
   /// True for implementation rules (logical -> physical).
   virtual bool is_implementation() const { return false; }
 
   /// Proposes alternative expressions equivalent to `expr` (appended to
-  /// `out`). Must not mutate the memo.
+  /// `out`). Must not mutate the memo. Proposes nothing, and mints no
+  /// column, unless `expr.op.kind` is root_kind().
   virtual void Apply(const RuleContext& ctx, const GroupExpr& expr,
                      std::vector<OpTree>* out) const = 0;
 
  private:
   RuleId id_;
   std::string name_;
+  std::optional<OpKind> root_kind_;
 };
 
 // ---------------------------------------------------------------------------
@@ -91,7 +99,7 @@ bool GroupProvidesColumns(const Memo& memo, GroupId group, const std::vector<Col
 class CollapseSelectsRule : public Rule {
  public:
   CollapseSelectsRule(RuleId id, std::string name, IntWindow stack_window = {2, 1 << 30})
-      : Rule(id, std::move(name)), stack_window_(stack_window) {}
+      : Rule(id, std::move(name), OpKind::kSelect), stack_window_(stack_window) {}
   void Apply(const RuleContext& ctx, const GroupExpr& expr,
              std::vector<OpTree>* out) const override;
 
@@ -102,7 +110,8 @@ class CollapseSelectsRule : public Rule {
 /// Select with a trivially-true predicate -> child.
 class SelectOnTrueRule : public Rule {
  public:
-  using Rule::Rule;
+  SelectOnTrueRule(RuleId id, std::string name)
+      : Rule(id, std::move(name), OpKind::kSelect) {}
   void Apply(const RuleContext& ctx, const GroupExpr& expr,
              std::vector<OpTree>* out) const override;
 };
@@ -111,7 +120,7 @@ class SelectOnTrueRule : public Rule {
 class SelectSplitConjunctionRule : public Rule {
  public:
   SelectSplitConjunctionRule(RuleId id, std::string name, IntWindow conjunct_window = {2, 6})
-      : Rule(id, std::move(name)), conjunct_window_(conjunct_window) {}
+      : Rule(id, std::move(name), OpKind::kSelect), conjunct_window_(conjunct_window) {}
   void Apply(const RuleContext& ctx, const GroupExpr& expr,
              std::vector<OpTree>* out) const override;
 
@@ -123,7 +132,8 @@ class SelectSplitConjunctionRule : public Rule {
 /// "SelectPredNormalized" rewrite). Changes estimate backoff ordering only.
 class SelectPredNormalizeRule : public Rule {
  public:
-  using Rule::Rule;
+  SelectPredNormalizeRule(RuleId id, std::string name)
+      : Rule(id, std::move(name), OpKind::kSelect) {}
   void Apply(const RuleContext& ctx, const GroupExpr& expr,
              std::vector<OpTree>* out) const override;
 };
@@ -134,7 +144,9 @@ class PushSelectBelowUnaryRule : public Rule {
  public:
   PushSelectBelowUnaryRule(RuleId id, std::string name, OpKind target,
                            IntWindow atom_window = {1, 1 << 30})
-      : Rule(id, std::move(name)), target_(target), atom_window_(atom_window) {}
+      : Rule(id, std::move(name), OpKind::kSelect),
+        target_(target),
+        atom_window_(atom_window) {}
   void Apply(const RuleContext& ctx, const GroupExpr& expr,
              std::vector<OpTree>* out) const override;
 
@@ -150,7 +162,9 @@ class PushSelectBelowJoinRule : public Rule {
  public:
   PushSelectBelowJoinRule(RuleId id, std::string name, int side,
                           IntWindow atom_window = {1, 1 << 30})
-      : Rule(id, std::move(name)), side_(side), atom_window_(atom_window) {}
+      : Rule(id, std::move(name), OpKind::kSelect),
+        side_(side),
+        atom_window_(atom_window) {}
   void Apply(const RuleContext& ctx, const GroupExpr& expr,
              std::vector<OpTree>* out) const override;
 
@@ -163,7 +177,7 @@ class PushSelectBelowJoinRule : public Rule {
 class PushSelectBelowUnionRule : public Rule {
  public:
   PushSelectBelowUnionRule(RuleId id, std::string name, IntWindow branch_window = {2, 1 << 30})
-      : Rule(id, std::move(name)), branch_window_(branch_window) {}
+      : Rule(id, std::move(name), OpKind::kSelect), branch_window_(branch_window) {}
   void Apply(const RuleContext& ctx, const GroupExpr& expr,
              std::vector<OpTree>* out) const override;
 
@@ -175,7 +189,7 @@ class PushSelectBelowUnionRule : public Rule {
 class MergeSelectIntoJoinRule : public Rule {
  public:
   MergeSelectIntoJoinRule(RuleId id, std::string name, IntWindow key_window = {1, 1 << 30})
-      : Rule(id, std::move(name)), key_window_(key_window) {}
+      : Rule(id, std::move(name), OpKind::kSelect), key_window_(key_window) {}
   void Apply(const RuleContext& ctx, const GroupExpr& expr,
              std::vector<OpTree>* out) const override;
 
@@ -188,7 +202,8 @@ class MergeSelectIntoJoinRule : public Rule {
 /// SCOPE's SelectPartitions partition-pruning rule.
 class SelectPartitionsRule : public Rule {
  public:
-  using Rule::Rule;
+  SelectPartitionsRule(RuleId id, std::string name)
+      : Rule(id, std::move(name), OpKind::kSelect) {}
   void Apply(const RuleContext& ctx, const GroupExpr& expr,
              std::vector<OpTree>* out) const override;
 };
@@ -196,7 +211,8 @@ class SelectPartitionsRule : public Rule {
 /// Project(Project(x)) -> Project(x) (composition of pass-through merges).
 class ProjectMergeRule : public Rule {
  public:
-  using Rule::Rule;
+  ProjectMergeRule(RuleId id, std::string name)
+      : Rule(id, std::move(name), OpKind::kProject) {}
   void Apply(const RuleContext& ctx, const GroupExpr& expr,
              std::vector<OpTree>* out) const override;
 };
@@ -204,7 +220,8 @@ class ProjectMergeRule : public Rule {
 /// Removes a Project that is a pure pass-through of its child's columns.
 class RemoveNoopProjectRule : public Rule {
  public:
-  using Rule::Rule;
+  RemoveNoopProjectRule(RuleId id, std::string name)
+      : Rule(id, std::move(name), OpKind::kProject) {}
   void Apply(const RuleContext& ctx, const GroupExpr& expr,
              std::vector<OpTree>* out) const override;
 };
@@ -214,7 +231,7 @@ class RemoveNoopProjectRule : public Rule {
 class PushProjectBelowUnionRule : public Rule {
  public:
   PushProjectBelowUnionRule(RuleId id, std::string name, IntWindow branch_window = {2, 1 << 30})
-      : Rule(id, std::move(name)), branch_window_(branch_window) {}
+      : Rule(id, std::move(name), OpKind::kProject), branch_window_(branch_window) {}
   void Apply(const RuleContext& ctx, const GroupExpr& expr,
              std::vector<OpTree>* out) const override;
 
@@ -226,7 +243,7 @@ class PushProjectBelowUnionRule : public Rule {
 class JoinCommuteRule : public Rule {
  public:
   JoinCommuteRule(RuleId id, std::string name, IntWindow key_window = {1, 1 << 30})
-      : Rule(id, std::move(name)), key_window_(key_window) {}
+      : Rule(id, std::move(name), OpKind::kJoin), key_window_(key_window) {}
   void Apply(const RuleContext& ctx, const GroupExpr& expr,
              std::vector<OpTree>* out) const override;
 
@@ -240,7 +257,9 @@ class JoinCommuteRule : public Rule {
 class JoinAssocRule : public Rule {
  public:
   JoinAssocRule(RuleId id, std::string name, int direction, IntWindow key_window = {1, 1 << 30})
-      : Rule(id, std::move(name)), direction_(direction), key_window_(key_window) {}
+      : Rule(id, std::move(name), OpKind::kJoin),
+        direction_(direction),
+        key_window_(key_window) {}
   void Apply(const RuleContext& ctx, const GroupExpr& expr,
              std::vector<OpTree>* out) const override;
 
@@ -256,7 +275,7 @@ class JoinAssocRule : public Rule {
 class PushGroupByBelowUnionRule : public Rule {
  public:
   PushGroupByBelowUnionRule(RuleId id, std::string name, IntWindow branch_window = {2, 1 << 30})
-      : Rule(id, std::move(name)), branch_window_(branch_window) {}
+      : Rule(id, std::move(name), OpKind::kGroupBy), branch_window_(branch_window) {}
   void Apply(const RuleContext& ctx, const GroupExpr& expr,
              std::vector<OpTree>* out) const override;
 
@@ -271,7 +290,7 @@ class PushGroupByBelowUnionRule : public Rule {
 class PushGroupByBelowJoinRule : public Rule {
  public:
   PushGroupByBelowJoinRule(RuleId id, std::string name, int side)
-      : Rule(id, std::move(name)), side_(side) {}
+      : Rule(id, std::move(name), OpKind::kGroupBy), side_(side) {}
   void Apply(const RuleContext& ctx, const GroupExpr& expr,
              std::vector<OpTree>* out) const override;
 
@@ -284,7 +303,7 @@ class PushGroupByBelowJoinRule : public Rule {
 class PartialAggregationRule : public Rule {
  public:
   PartialAggregationRule(RuleId id, std::string name, IntWindow key_window = {1, 1 << 30})
-      : Rule(id, std::move(name)), key_window_(key_window) {}
+      : Rule(id, std::move(name), OpKind::kGroupBy), key_window_(key_window) {}
   void Apply(const RuleContext& ctx, const GroupExpr& expr,
              std::vector<OpTree>* out) const override;
 
@@ -295,7 +314,8 @@ class PartialAggregationRule : public Rule {
 /// Canonicalizes GroupBy keys (dedup + sort) — "NormalizeReduce".
 class NormalizeReduceRule : public Rule {
  public:
-  using Rule::Rule;
+  NormalizeReduceRule(RuleId id, std::string name)
+      : Rule(id, std::move(name), OpKind::kGroupBy) {}
   void Apply(const RuleContext& ctx, const GroupExpr& expr,
              std::vector<OpTree>* out) const override;
 };
@@ -308,7 +328,7 @@ class PushJoinBelowUnionRule : public Rule {
  public:
   PushJoinBelowUnionRule(RuleId id, std::string name, int union_side, JoinType only_type,
                          int max_branches = 64)
-      : Rule(id, std::move(name)),
+      : Rule(id, std::move(name), OpKind::kJoin),
         union_side_(union_side),
         only_type_(only_type),
         max_branches_(max_branches) {}
@@ -326,7 +346,7 @@ class PushJoinBelowUnionRule : public Rule {
 class PushProcessBelowUnionRule : public Rule {
  public:
   PushProcessBelowUnionRule(RuleId id, std::string name, IntWindow branch_window = {2, 1 << 30})
-      : Rule(id, std::move(name)), branch_window_(branch_window) {}
+      : Rule(id, std::move(name), OpKind::kProcess), branch_window_(branch_window) {}
   void Apply(const RuleContext& ctx, const GroupExpr& expr,
              std::vector<OpTree>* out) const override;
 
@@ -337,7 +357,8 @@ class PushProcessBelowUnionRule : public Rule {
 /// UnionAll(UnionAll(a,b), c) -> UnionAll(a,b,c).
 class UnionFlattenRule : public Rule {
  public:
-  using Rule::Rule;
+  UnionFlattenRule(RuleId id, std::string name)
+      : Rule(id, std::move(name), OpKind::kUnionAll) {}
   void Apply(const RuleContext& ctx, const GroupExpr& expr,
              std::vector<OpTree>* out) const override;
 };
@@ -348,7 +369,8 @@ class UnionFlattenRule : public Rule {
 /// guard in this workload).
 class PushTopBelowUnionRule : public Rule {
  public:
-  using Rule::Rule;
+  PushTopBelowUnionRule(RuleId id, std::string name)
+      : Rule(id, std::move(name), OpKind::kTop) {}
   void Apply(const RuleContext& ctx, const GroupExpr& expr,
              std::vector<OpTree>* out) const override;
 };
@@ -357,7 +379,8 @@ class PushTopBelowUnionRule : public Rule {
 /// ("TopOnRestrRemap").
 class TopProjectSwapRule : public Rule {
  public:
-  using Rule::Rule;
+  TopProjectSwapRule(RuleId id, std::string name)
+      : Rule(id, std::move(name), OpKind::kTop) {}
   void Apply(const RuleContext& ctx, const GroupExpr& expr,
              std::vector<OpTree>* out) const override;
 };
@@ -367,7 +390,8 @@ class TopProjectSwapRule : public Rule {
 /// redundant-but-useful filter conjunct on the opposite key.
 class PredicateInferenceRule : public Rule {
  public:
-  using Rule::Rule;
+  PredicateInferenceRule(RuleId id, std::string name)
+      : Rule(id, std::move(name), OpKind::kSelect) {}
   void Apply(const RuleContext& ctx, const GroupExpr& expr,
              std::vector<OpTree>* out) const override;
 };
@@ -377,7 +401,8 @@ class PredicateInferenceRule : public Rule {
 /// row-wise and column-preserving).
 class UnsafeSelectBelowProcessRule : public Rule {
  public:
-  using Rule::Rule;
+  UnsafeSelectBelowProcessRule(RuleId id, std::string name)
+      : Rule(id, std::move(name), OpKind::kSelect) {}
   void Apply(const RuleContext& ctx, const GroupExpr& expr,
              std::vector<OpTree>* out) const override;
 };
@@ -387,7 +412,8 @@ class UnsafeSelectBelowProcessRule : public Rule {
 /// disjoint, so bag semantics are preserved ("SelectOrExpansion").
 class SelectOrExpansionRule : public Rule {
  public:
-  using Rule::Rule;
+  SelectOrExpansionRule(RuleId id, std::string name)
+      : Rule(id, std::move(name), OpKind::kSelect) {}
   void Apply(const RuleContext& ctx, const GroupExpr& expr,
              std::vector<OpTree>* out) const override;
 };
@@ -395,7 +421,8 @@ class SelectOrExpansionRule : public Rule {
 /// Removes duplicated conjuncts from a Select ("RemoveDupPredicates").
 class RemoveDupPredicatesRule : public Rule {
  public:
-  using Rule::Rule;
+  RemoveDupPredicatesRule(RuleId id, std::string name)
+      : Rule(id, std::move(name), OpKind::kSelect) {}
   void Apply(const RuleContext& ctx, const GroupExpr& expr,
              std::vector<OpTree>* out) const override;
 };
@@ -405,7 +432,8 @@ class RemoveDupPredicatesRule : public Rule {
 /// place (this algebra has no empty-relation operator).
 class ConstantFoldingRule : public Rule {
  public:
-  using Rule::Rule;
+  ConstantFoldingRule(RuleId id, std::string name)
+      : Rule(id, std::move(name), OpKind::kSelect) {}
   void Apply(const RuleContext& ctx, const GroupExpr& expr,
              std::vector<OpTree>* out) const override;
 };
@@ -414,7 +442,8 @@ class ConstantFoldingRule : public Rule {
 /// ("TopTopCollapse").
 class TopTopCollapseRule : public Rule {
  public:
-  using Rule::Rule;
+  TopTopCollapseRule(RuleId id, std::string name)
+      : Rule(id, std::move(name), OpKind::kTop) {}
   void Apply(const RuleContext& ctx, const GroupExpr& expr,
              std::vector<OpTree>* out) const override;
 };
@@ -426,12 +455,9 @@ class TopTopCollapseRule : public Rule {
 class RareShapeRule : public Rule {
  public:
   RareShapeRule(RuleId id, std::string name, OpKind match_kind)
-      : Rule(id, std::move(name)), match_kind_(match_kind) {}
+      : Rule(id, std::move(name), match_kind) {}
   void Apply(const RuleContext& ctx, const GroupExpr& expr,
              std::vector<OpTree>* out) const override;
-
- private:
-  OpKind match_kind_;
 };
 
 // ---------------------------------------------------------------------------
@@ -444,13 +470,12 @@ class RareShapeRule : public Rule {
 class SimpleImplRule : public Rule {
  public:
   SimpleImplRule(RuleId id, std::string name, OpKind logical, OpKind physical)
-      : Rule(id, std::move(name)), logical_(logical), physical_(physical) {}
+      : Rule(id, std::move(name), logical), physical_(physical) {}
   bool is_implementation() const override { return true; }
   void Apply(const RuleContext& ctx, const GroupExpr& expr,
              std::vector<OpTree>* out) const override;
 
  private:
-  OpKind logical_;
   OpKind physical_;
 };
 
@@ -472,7 +497,7 @@ class JoinImplRule : public Rule {
     bool require_multi_key = false;
   };
   JoinImplRule(RuleId id, std::string name, Options options)
-      : Rule(id, std::move(name)), options_(options) {}
+      : Rule(id, std::move(name), OpKind::kJoin), options_(options) {}
   bool is_implementation() const override { return true; }
   void Apply(const RuleContext& ctx, const GroupExpr& expr,
              std::vector<OpTree>* out) const override;
@@ -486,7 +511,7 @@ class JoinImplRule : public Rule {
 class IndexApplyJoinImplRule : public Rule {
  public:
   IndexApplyJoinImplRule(RuleId id, std::string name, int scan_side)
-      : Rule(id, std::move(name)), scan_side_(scan_side) {}
+      : Rule(id, std::move(name), OpKind::kJoin), scan_side_(scan_side) {}
   bool is_implementation() const override { return true; }
   void Apply(const RuleContext& ctx, const GroupExpr& expr,
              std::vector<OpTree>* out) const override;
@@ -500,7 +525,7 @@ class AggImplRule : public Rule {
  public:
   AggImplRule(RuleId id, std::string name, OpKind physical, bool partial_only,
               int max_keys = 16)
-      : Rule(id, std::move(name)),
+      : Rule(id, std::move(name), OpKind::kGroupBy),
         physical_(physical),
         partial_only_(partial_only),
         max_keys_(max_keys) {}
@@ -522,7 +547,7 @@ class UnionImplRule : public Rule {
  public:
   UnionImplRule(RuleId id, std::string name, OpKind physical,
                 bool require_same_partition_count = false)
-      : Rule(id, std::move(name)),
+      : Rule(id, std::move(name), OpKind::kUnionAll),
         physical_(physical),
         require_same_partitions_(require_same_partition_count) {}
   bool is_implementation() const override { return true; }
@@ -538,7 +563,9 @@ class UnionImplRule : public Rule {
 class TopImplRule : public Rule {
  public:
   TopImplRule(RuleId id, std::string name, OpKind physical, int64_t max_limit = 1 << 30)
-      : Rule(id, std::move(name)), physical_(physical), max_limit_(max_limit) {}
+      : Rule(id, std::move(name), OpKind::kTop),
+        physical_(physical),
+        max_limit_(max_limit) {}
   bool is_implementation() const override { return true; }
   void Apply(const RuleContext& ctx, const GroupExpr& expr,
              std::vector<OpTree>* out) const override;

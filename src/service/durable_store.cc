@@ -1,10 +1,13 @@
 #include "service/durable_store.h"
 
+#include <charconv>
 #include <cinttypes>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
+#include <optional>
 #include <sstream>
+#include <system_error>
 
 #include "common/file_io.h"
 #include "core/hints.h"
@@ -27,6 +30,28 @@ bool ParseDoubleExact(const std::string& text, double* out) {
   char* end = nullptr;
   *out = std::strtod(text.c_str(), &end);
   return end != text.c_str() && *end == '\0';
+}
+
+/// The `# seq N` watermark the store appends to every snapshot it writes
+/// (the last such line wins). A missing, non-numeric or overflowing value is
+/// an error: recovery would skip or replay the wrong WAL records.
+Result<uint64_t> ParseSnapshotSeq(const std::string& content) {
+  std::optional<uint64_t> seq;
+  std::istringstream lines(content);
+  std::string line;
+  while (std::getline(lines, line)) {
+    if (line.rfind(kSeqCommentPrefix, 0) != 0) continue;
+    const char* first = line.data() + std::strlen(kSeqCommentPrefix);
+    const char* last = line.data() + line.size();
+    uint64_t value = 0;
+    std::from_chars_result parsed = std::from_chars(first, last, value);
+    if (parsed.ec != std::errc() || parsed.ptr != last) {
+      return Status::InvalidArgument("malformed snapshot watermark '" + line + "'");
+    }
+    seq = value;
+  }
+  if (!seq.has_value()) return Status::InvalidArgument("snapshot has no '# seq' watermark");
+  return *seq;
 }
 
 }  // namespace
@@ -62,17 +87,20 @@ Status DurableRecommenderStore::Open() {
     return Status::OK();
   }
 
-  // 1. Snapshot (atomic write + crc32 footer; a checksum mismatch means
-  //    external corruption and is a hard error).
-  Result<std::string> snapshot = ReadFileChecksummed(snapshot_path());
+  // 1. Snapshot (atomic write + crc32 footer + `# seq` watermark). The store
+  //    writes no other format, so a checksum mismatch, a missing footer (a
+  //    file cut short at a line boundary) or a missing or malformed
+  //    watermark means external damage and is a hard error.
+  bool had_checksum = false;
+  Result<std::string> snapshot = ReadFileChecksummed(snapshot_path(), &had_checksum);
   if (snapshot.ok()) {
-    uint64_t seq = 0;
-    std::istringstream lines(snapshot.value());
-    std::string line;
-    while (std::getline(lines, line)) {
-      if (line.rfind(kSeqCommentPrefix, 0) == 0) {
-        seq = std::strtoull(line.c_str() + std::strlen(kSeqCommentPrefix), nullptr, 10);
-      }
+    if (!had_checksum) {
+      return Status::Internal("corrupt snapshot " + snapshot_path() + ": no crc32 footer");
+    }
+    Result<uint64_t> seq = ParseSnapshotSeq(snapshot.value());
+    if (!seq.ok()) {
+      return Status::Internal("corrupt snapshot " + snapshot_path() + ": " +
+                              seq.status().message());
     }
     Status status = recommender_.Deserialize(snapshot.value());
     if (!status.ok()) {
@@ -80,8 +108,8 @@ Status DurableRecommenderStore::Open() {
                               status.message());
     }
     recovery_.loaded_snapshot = true;
-    recovery_.snapshot_seq = seq;
-    applied_seq_ = seq;
+    recovery_.snapshot_seq = seq.value();
+    applied_seq_ = seq.value();
   } else if (snapshot.status().code() != StatusCode::kNotFound) {
     return snapshot.status();
   }
@@ -355,15 +383,9 @@ std::string DurableRecommenderStore::SerializeForReplication() const {
 Status DurableRecommenderStore::InstallSnapshot(const std::string& content) {
   MutexLock lock(mu_);
   if (!open_) return Status::FailedPrecondition("store not open");
-  uint64_t seq = 0;
-  {
-    std::istringstream lines(content);
-    std::string line;
-    while (std::getline(lines, line)) {
-      if (line.rfind(kSeqCommentPrefix, 0) == 0) {
-        seq = std::strtoull(line.c_str() + std::strlen(kSeqCommentPrefix), nullptr, 10);
-      }
-    }
+  Result<uint64_t> seq = ParseSnapshotSeq(content);
+  if (!seq.ok()) {
+    return Status::InvalidArgument("corrupt snapshot install: " + seq.status().message());
   }
   // Validate into the live recommender only after parsing succeeds; a
   // corrupt install must leave the current state untouched.
@@ -391,7 +413,7 @@ Status DurableRecommenderStore::InstallSnapshot(const std::string& content) {
     }
   }
   recommender_ = std::move(incoming);
-  applied_seq_ = seq;
+  applied_seq_ = seq.value();
   events_since_snapshot_ = 0;
   ++snapshot_installs_;
   PublishViewLocked();

@@ -1,5 +1,7 @@
 #include "optimizer/rule_config.h"
 
+#include <vector>
+
 #include <gtest/gtest.h>
 
 #include "optimizer/rule_registry.h"
@@ -96,14 +98,55 @@ TEST(RuleRegistry, CategoriesOfKnownRules) {
 
 TEST(RuleRegistry, ImplementationRulesPartitioned) {
   const RuleRegistry& registry = RuleRegistry::Instance();
-  for (const Rule* rule : registry.implementation_rules()) {
-    EXPECT_TRUE(rule->is_implementation()) << rule->name();
+  size_t implementations = 0;
+  size_t transformations = 0;
+  for (size_t k = 0; k < kNumOpKinds; ++k) {
+    const OpKind kind = static_cast<OpKind>(k);
+    for (const Rule* rule : registry.implementation_rules(kind)) {
+      EXPECT_TRUE(rule->is_implementation()) << rule->name();
+      ++implementations;
+    }
+    for (const Rule* rule : registry.transformation_rules(kind)) {
+      EXPECT_FALSE(rule->is_implementation()) << rule->name();
+      ++transformations;
+    }
   }
-  for (const Rule* rule : registry.transformation_rules()) {
-    EXPECT_FALSE(rule->is_implementation()) << rule->name();
+  EXPECT_GT(implementations, 15u);
+  EXPECT_GT(transformations, 100u);
+}
+
+// The optimizer offers an expression only the rules listed under its kind
+// (ImplementationRulesPartitioned checks which of the two lists), so a rule
+// missing from the index, or listed twice, would silently change plans.
+TEST(RuleRegistry, DispatchIndexListsEveryProposingRuleOnceUnderItsRootKind) {
+  const RuleRegistry& registry = RuleRegistry::Instance();
+  std::vector<int> listed(kNumRules, 0);
+  for (size_t k = 0; k < kNumOpKinds; ++k) {
+    const OpKind kind = static_cast<OpKind>(k);
+    for (bool implementation : {false, true}) {
+      RuleId previous = -1;
+      for (const Rule* rule : implementation ? registry.implementation_rules(kind)
+                                             : registry.transformation_rules(kind)) {
+        EXPECT_TRUE(rule->root_kind() == kind) << rule->name();
+        EXPECT_GT(rule->id(), previous) << OpKindName(kind) << " list out of id order";
+        previous = rule->id();
+        ++listed[static_cast<size_t>(rule->id())];
+      }
+    }
   }
-  EXPECT_GT(registry.implementation_rules().size(), 15u);
-  EXPECT_GT(registry.transformation_rules().size(), 100u);
+  int markers = 0;
+  for (RuleId id = 0; id < kNumRules; ++id) {
+    const Rule* rule = registry.rule(id);
+    if (rule->root_kind().has_value()) {
+      EXPECT_EQ(listed[static_cast<size_t>(id)], 1) << rule->name();
+    } else {
+      // Markers are required glue the optimizer applies itself.
+      EXPECT_EQ(listed[static_cast<size_t>(id)], 0) << rule->name();
+      EXPECT_EQ(rule->category(), RuleCategory::kRequired) << rule->name();
+      ++markers;
+    }
+  }
+  EXPECT_EQ(markers, 30);
 }
 
 TEST(RuleRegistry, IdsInCategorySizes) {

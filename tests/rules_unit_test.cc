@@ -6,6 +6,7 @@
 
 #include "optimizer/rule_registry.h"
 #include "optimizer/rules.h"
+#include "workload/generator.h"
 
 namespace qsteer {
 namespace {
@@ -580,6 +581,51 @@ TEST_F(RulesTest, RareShapeRulesNeverFire) {
     EXPECT_TRUE(Apply(*registry.rule(id), scan).empty()) << id;
     EXPECT_TRUE(Apply(*registry.rule(id), sel).empty()) << id;
   }
+}
+
+// The optimizer calls a rule only on expressions of its declared root kind
+// (RuleRegistry's dispatch index). A rule that could propose, or mint a
+// column, for any other kind would be silently disabled there, so every rule
+// is offered every expression of real job plans and must stay silent off its
+// kind.
+TEST(RuleDispatch, NoRuleProposesOffItsRootKind) {
+  const RuleRegistry& registry = RuleRegistry::Instance();
+  int off_kind_calls = 0;
+  int on_kind_proposals = 0;
+  for (const WorkloadSpec& spec :
+       {WorkloadSpec::WorkloadA(0.004), WorkloadSpec::WorkloadB(0.004),
+        WorkloadSpec::WorkloadC(0.004)}) {
+    Workload workload(spec);
+    for (int t = 0; t < 12; ++t) {
+      const Job job = workload.MakeJob(t, /*day=*/1);
+      Memo memo;
+      memo.Insert(job.root);
+      ColumnUniverse universe(job.columns);
+      RuleContext ctx;
+      ctx.memo = &memo;
+      ctx.universe = &universe;
+      for (ExprId id = 0; id < memo.num_exprs(); ++id) {
+        const GroupExpr& expr = memo.expr(id);
+        for (RuleId rule_id = 0; rule_id < kNumRules; ++rule_id) {
+          const Rule& rule = *registry.rule(rule_id);
+          std::vector<OpTree> out;
+          const int columns_before = universe.size();
+          rule.Apply(ctx, expr, &out);
+          if (rule.root_kind() == expr.op.kind) {
+            on_kind_proposals += static_cast<int>(out.size());
+            continue;
+          }
+          ++off_kind_calls;
+          EXPECT_TRUE(out.empty())
+              << rule.name() << " proposed for " << OpKindName(expr.op.kind);
+          EXPECT_EQ(universe.size(), columns_before)
+              << rule.name() << " minted a column for " << OpKindName(expr.op.kind);
+        }
+      }
+    }
+  }
+  EXPECT_GT(off_kind_calls, 0);
+  EXPECT_GT(on_kind_proposals, 0);  // the seeded memos do make rules fire
 }
 
 }  // namespace

@@ -20,9 +20,11 @@
 #include <fstream>
 #include <future>
 #include <memory>
+#include <sstream>
 #include <string>
 #include <vector>
 
+#include "common/file_io.h"
 #include "common/hash.h"
 #include "service/steering_service.h"
 #include "workload/generator.h"
@@ -291,6 +293,61 @@ TEST(DurableStoreChaosTest, CorruptSnapshotIsAHardError) {
   DurableRecommenderStore corrupted(StoreOptions(dir.path(), 5));
   Status status = corrupted.Open();
   ASSERT_FALSE(status.ok()) << "a corrupt snapshot must not load silently";
+}
+
+// Writes a store's snapshot for the script and returns its path.
+std::string WriteScriptSnapshot(const std::string& dir) {
+  DurableRecommenderStore store(StoreOptions(dir, /*snapshot_interval=*/5));
+  EXPECT_TRUE(store.Open().ok());
+  for (const Event& event : MakeScript()) ApplyEvent(store, event);
+  EXPECT_TRUE(store.Snapshot().ok());
+  return store.snapshot_path();
+}
+
+TEST(DurableStoreChaosTest, SnapshotCutBeforeFooterIsAHardError) {
+  TempDir dir;
+  std::string path = WriteScriptSnapshot(dir.path());
+  Result<std::string> bytes = ReadFileToString(path);
+  ASSERT_TRUE(bytes.ok());
+  size_t footer = bytes.value().rfind("# crc32 ");
+  ASSERT_NE(footer, std::string::npos);
+  // Every line before the footer is intact: only the missing footer tells.
+  ASSERT_TRUE(AtomicWriteFile(path, bytes.value().substr(0, footer), /*sync=*/false).ok());
+
+  DurableRecommenderStore reopened(StoreOptions(dir.path(), 5));
+  EXPECT_FALSE(reopened.Open().ok()) << "a snapshot without its footer must not load";
+}
+
+TEST(DurableStoreChaosTest, SnapshotWithoutSeqWatermarkIsAHardError) {
+  TempDir dir;
+  std::string path = WriteScriptSnapshot(dir.path());
+  Result<std::string> content = ReadFileChecksummed(path);
+  ASSERT_TRUE(content.ok());
+  std::string stripped;
+  std::istringstream lines(content.value());
+  for (std::string line; std::getline(lines, line);) {
+    if (line.rfind("# seq ", 0) != 0) stripped += line + "\n";
+  }
+  ASSERT_NE(stripped, content.value());
+  // A valid footer over the rest: the checksum alone cannot catch this.
+  ASSERT_TRUE(WriteFileChecksummed(path, stripped, /*sync=*/false).ok());
+
+  DurableRecommenderStore reopened(StoreOptions(dir.path(), 5));
+  EXPECT_FALSE(reopened.Open().ok()) << "a snapshot without its watermark must not load";
+}
+
+TEST(DurableStoreChaosTest, MalformedSeqInstallLeavesStateUntouched) {
+  TempDir dir;
+  DurableRecommenderStore store(StoreOptions(dir.path(), 5));
+  ASSERT_TRUE(store.Open().ok());
+  for (const Event& event : MakeScript()) ApplyEvent(store, event);
+  const std::string before = store.SerializeForReplication();
+  const std::string body = before.substr(0, before.rfind("# seq "));
+  for (const char* watermark :
+       {"", "# seq \n", "# seq 12x\n", "# seq -1\n", "# seq 18446744073709551616\n"}) {
+    EXPECT_FALSE(store.InstallSnapshot(body + watermark).ok()) << '"' << watermark << '"';
+    EXPECT_EQ(store.SerializeForReplication(), before) << '"' << watermark << '"';
+  }
 }
 
 TEST(DurableStoreChaosTest, EphemeralStoreNeedsNoFiles) {
