@@ -1,8 +1,9 @@
 // CRC-32 (IEEE 802.3 polynomial, reflected) for durable-state integrity:
-// WAL record checksums and the recommender-store file footer. Chosen over
-// the 64-bit mixers in common/hash.h because CRC32 is the conventional
-// storage checksum (detects torn/partial writes, not adversaries) and its
-// value is stable across platforms and releases — it is written to disk.
+// WAL record checksums and the artifact footer of every durable file
+// (common/file_io.h). Chosen over the 64-bit mixers in common/hash.h
+// because CRC32 is the conventional storage checksum (detects torn/partial
+// writes, not adversaries) and its value is stable across platforms and
+// releases — it is written to disk.
 #ifndef QSTEER_COMMON_CRC32_H_
 #define QSTEER_COMMON_CRC32_H_
 

@@ -35,7 +35,7 @@ Status SyncDir(const std::string& dir) {
 
 }  // namespace
 
-// qsteer-lint: allow(crc-before-trust) this IS the raw-read primitive; verifying wrappers (ReadFileChecksummed) layer on top
+// qsteer-lint: allow(crc-before-trust) this IS the raw-read primitive; the verifying ReadArtifact layers on top
 Result<std::string> ReadFileToString(const std::string& path) {
   std::FILE* f = std::fopen(path.c_str(), "rb");
   if (f == nullptr) return Status::NotFound("cannot open: " + path);
@@ -85,42 +85,51 @@ Status AtomicWriteFile(const std::string& path, const std::string& content, bool
 }
 
 namespace {
-constexpr char kCrcPrefix[] = "# crc32 ";
-constexpr size_t kCrcPrefixLen = sizeof(kCrcPrefix) - 1;
-constexpr size_t kCrcHexLen = 8;
-}  // namespace
 
-std::string Crc32FooterLine(const std::string& content) {
-  char footer[kCrcPrefixLen + kCrcHexLen + 2];
-  std::snprintf(footer, sizeof(footer), "%s%08x\n", kCrcPrefix, Crc32(content));
+constexpr size_t kFooterLen = sizeof("# crc32 01234567\n") - 1;
+
+/// The footer line over `content`: exactly 8 lowercase hex digits. Readers
+/// compare it byte for byte, so a short form, a sign or a flipped case bit
+/// never verifies.
+std::string FooterFor(std::string_view content) {
+  char footer[kFooterLen + 1];
+  std::snprintf(footer, sizeof(footer), "# crc32 %08x\n", Crc32(content));
   return footer;
 }
 
-Status WriteFileChecksummed(const std::string& path, const std::string& content, bool sync) {
-  return AtomicWriteFile(path, content + Crc32FooterLine(content), sync);
+}  // namespace
+
+Status WriteArtifact(const std::string& path, std::string_view header, std::string_view body,
+                     bool sync) {
+  std::string content;
+  content.reserve(header.size() + 1 + body.size() + kFooterLen);
+  content.append(header);
+  content.push_back('\n');
+  content.append(body);
+  content += FooterFor(content);
+  return AtomicWriteFile(path, content, sync);
 }
 
-Result<std::string> ReadFileChecksummed(const std::string& path, bool* had_checksum) {
-  if (had_checksum != nullptr) *had_checksum = false;
+Result<std::string> ReadArtifact(const std::string& path, std::string_view header) {
   Result<std::string> read = ReadFileToString(path);
   if (!read.ok()) return read;
   std::string content = std::move(read.value());
 
-  // The footer, when present, is the final "\n"-terminated line.
-  const size_t footer_len = kCrcPrefixLen + kCrcHexLen + 1;
-  if (content.size() < footer_len ||
-      content.compare(content.size() - footer_len, kCrcPrefixLen, kCrcPrefix) != 0 ||
-      content.back() != '\n') {
-    return content;  // pre-checksum format
+  if (content.size() < kFooterLen) {
+    return Status::InvalidArgument("missing crc32 footer (torn file): " + path);
   }
-  std::string hex = content.substr(content.size() - kCrcHexLen - 1, kCrcHexLen);
-  uint32_t stored = 0;
-  if (std::sscanf(hex.c_str(), "%8x", &stored) != 1) return content;
-  content.resize(content.size() - footer_len);
-  if (Crc32(content) != stored) {
-    return Status::InvalidArgument("checksum mismatch (torn or corrupt file): " + path);
+  const size_t body_end = content.size() - kFooterLen;
+  if (content.compare(body_end, kFooterLen,
+                      FooterFor(std::string_view(content).substr(0, body_end))) != 0) {
+    return Status::InvalidArgument("missing or mismatching crc32 footer (torn or corrupt file): " +
+                                   path);
   }
-  if (had_checksum != nullptr) *had_checksum = true;
+  content.resize(body_end);
+  if (content.size() <= header.size() || content.compare(0, header.size(), header) != 0 ||
+      content[header.size()] != '\n') {
+    return Status::FailedPrecondition("expected header '" + std::string(header) + "': " + path);
+  }
+  content.erase(0, header.size() + 1);
   return content;
 }
 

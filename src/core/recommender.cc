@@ -1,11 +1,9 @@
 #include "core/recommender.h"
 
 #include <algorithm>
-#include <cstdio>
 #include <sstream>
 #include <vector>
 
-#include "common/file_io.h"
 #include "core/hints.h"
 
 namespace qsteer {
@@ -239,10 +237,6 @@ int SteeringRecommender::num_open() const {
   return count;
 }
 
-namespace {
-constexpr char kStoreHeaderV2[] = "# qsteer-recommender-store v2";
-}  // namespace
-
 std::string SteeringRecommender::Serialize() const {
   // Deterministic entry order: two equal stores must serialize to equal
   // bytes (snapshot comparison, chaos bit-identity).
@@ -254,7 +248,6 @@ std::string SteeringRecommender::Serialize() const {
   });
   std::ostringstream out;
   out.precision(17);  // round-trip doubles exactly
-  out << kStoreHeaderV2 << '\n';
   for (const auto* kv : sorted) {
     const Entry& entry = kv->second;
     out << kv->first.ToHexString() << ' ' << entry.improvement_pct << ' ' << entry.support
@@ -267,10 +260,6 @@ std::string SteeringRecommender::Serialize() const {
   return out.str();
 }
 
-Status SteeringRecommender::SaveToFile(const std::string& path) const {
-  return WriteFileChecksummed(path, Serialize());
-}
-
 Status SteeringRecommender::Deserialize(const std::string& content) {
   std::istringstream in(content);
   std::unordered_map<RuleSignature, Entry, BitVector256Hasher> loaded;
@@ -278,44 +267,21 @@ Status SteeringRecommender::Deserialize(const std::string& content) {
   int rollbacks = 0;
   std::string line;
   int line_number = 0;
-  bool v2 = false;
-  bool first_line = true;
   while (std::getline(in, line)) {
     ++line_number;
-    if (first_line) {
-      first_line = false;
-      if (line == kStoreHeaderV2) {
-        v2 = true;
-        continue;
-      }
-    }
     if (line.empty() || line.front() == '#') continue;
     std::istringstream fields(line);
     std::string signature_hex, hints;
     Entry entry;
-    int retired_flag = 0;
+    int retired_flag = 0, adopted_flag = 0, breaker_int = 0;
     if (!(fields >> signature_hex >> entry.improvement_pct >> entry.support >>
-          entry.regressions >> retired_flag)) {
+          entry.regressions >> retired_flag >> adopted_flag >> entry.validation_successes >>
+          breaker_int >> entry.consecutive_failures >> entry.cooldown_remaining >>
+          entry.probe_successes >> entry.rollbacks)) {
       return Status::InvalidArgument("malformed store line " + std::to_string(line_number));
     }
-    if (v2) {
-      int adopted_flag = 0, breaker_int = 0;
-      if (!(fields >> adopted_flag >> entry.validation_successes >> breaker_int >>
-            entry.consecutive_failures >> entry.cooldown_remaining >> entry.probe_successes >>
-            entry.rollbacks)) {
-        return Status::InvalidArgument("malformed v2 store line " +
-                                       std::to_string(line_number));
-      }
-      if (breaker_int < 0 || breaker_int > 2) {
-        return Status::InvalidArgument("bad breaker state on line " +
-                                       std::to_string(line_number));
-      }
-      entry.adopted = adopted_flag != 0;
-      entry.breaker = static_cast<BreakerState>(breaker_int);
-    } else {
-      // Legacy (v1) stores predate the validation gate and breaker: their
-      // entries were already serving, so load them adopted and closed.
-      entry.adopted = true;
+    if (breaker_int < 0 || breaker_int > 2) {
+      return Status::InvalidArgument("bad breaker state on line " + std::to_string(line_number));
     }
     std::getline(fields, hints);
     if (!hints.empty() && hints.front() == ' ') hints.erase(0, 1);
@@ -327,6 +293,8 @@ Status SteeringRecommender::Deserialize(const std::string& content) {
     if (!config.ok()) return config.status();
     entry.config = config.value();
     entry.retired = retired_flag != 0;
+    entry.adopted = adopted_flag != 0;
+    entry.breaker = static_cast<BreakerState>(breaker_int);
     if (entry.retired) ++retired;
     rollbacks += entry.rollbacks;
     loaded.emplace(signature, std::move(entry));
@@ -335,14 +303,6 @@ Status SteeringRecommender::Deserialize(const std::string& content) {
   retired_ = retired;
   rollbacks_ = rollbacks;
   return Status::OK();
-}
-
-Status SteeringRecommender::LoadFromFile(const std::string& path) {
-  // Verifies the crc32 footer when present; v1 files and pre-checksum v2
-  // files have none and load unchecked.
-  Result<std::string> content = ReadFileChecksummed(path);
-  if (!content.ok()) return content.status();
-  return Deserialize(content.value());
 }
 
 }  // namespace qsteer

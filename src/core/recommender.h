@@ -54,6 +54,10 @@ struct RecommenderOptions {
   int max_rollbacks = 2;
 };
 
+/// Header line of every file whose body is a SteeringRecommender::Serialize
+/// blob: the service snapshot and the merged discovery store.
+inline constexpr char kRecommenderStoreHeader[] = "# qsteer-recommender-store v2";
+
 enum class BreakerState { kClosed = 0, kOpen = 1, kHalfOpen = 2 };
 const char* BreakerStateName(BreakerState state);
 
@@ -164,8 +168,7 @@ class SteeringRecommender {
   /// Groups currently rolled back (breaker open).
   int num_open() const;
 
-  /// The store as a line-oriented text blob (format v2):
-  ///   # qsteer-recommender-store v2
+  /// The store as a line-oriented text blob, one line per entry:
   ///   <signature-hex> <improvement%> <support> <regressions> <retired>
   ///     <adopted> <validation-successes> <breaker-state> <consecutive-
   ///     failures> <cooldown> <probe-successes> <rollbacks> <hints>
@@ -173,21 +176,13 @@ class SteeringRecommender {
   /// state serialize to identical bytes (the chaos harness's bit-identity
   /// checks and the service snapshots rely on this). The hint column uses
   /// the §3.2 flag syntax, so a stored recommendation is directly usable as
-  /// a customer plan hint.
+  /// a customer plan hint. On disk the blob is the body of an artifact
+  /// headed kRecommenderStoreHeader (WriteArtifact / ReadArtifact).
   std::string Serialize() const;
-  /// Replaces the store with the blob's contents. Blobs without the v2
-  /// header parse in the legacy (v1) format: entries become adopted with a
-  /// closed breaker. Comment lines (leading '#') are ignored.
+  /// Replaces the store with the blob's contents; any malformed entry line
+  /// rejects the whole blob and leaves the store as it was. Comment lines
+  /// (leading '#', e.g. a snapshot's `# seq N` watermark) are skipped.
   Status Deserialize(const std::string& content);
-
-  /// Serialize() written atomically (temp file + fsync + rename) with a
-  /// trailing `# crc32` footer, so a torn or partial write is detected at
-  /// load instead of silently mis-parsing.
-  Status SaveToFile(const std::string& path) const;
-  /// Replaces the store with the file's contents, verifying the checksum
-  /// footer when present. v1 files and v2 files written before the footer
-  /// existed (no checksum) still load.
-  Status LoadFromFile(const std::string& path);
 
  private:
   struct Entry {

@@ -11,7 +11,6 @@ namespace qsteer {
 namespace {
 
 constexpr char kArtifactHeader[] = "# qsteer-shard-artifact v1";
-constexpr char kManifestHeader[] = "# qsteer-shard-manifest v1";
 
 /// %.17g preserves every bit of a double across a text round trip.
 std::string DoubleText(double v) {
@@ -241,7 +240,6 @@ std::string ShardManifest::Serialize() const {
   std::snprintf(hex, sizeof(hex), "%016" PRIx64, partition_hash);
   char crc_hex[16];
   std::snprintf(crc_hex, sizeof(crc_hex), "%08x", artifact_crc32);
-  out << kManifestHeader << "\n";
   out << "workload " << workload << "\n";
   out << "day " << day << "\n";
   out << "shard " << shard_index << " of " << num_shards << "\n";
@@ -257,10 +255,6 @@ std::string ShardManifest::Serialize() const {
 
 Result<ShardManifest> ShardManifest::Parse(const std::string& content) {
   std::istringstream in(content);
-  std::string line;
-  if (!std::getline(in, line) || line != kManifestHeader) {
-    return Status::InvalidArgument("not a shard manifest (bad header)");
-  }
   ShardManifest manifest;
   KeyValueLines kv(&in);
   Status status = kv.Expect("workload", &manifest.workload);
@@ -306,7 +300,6 @@ Result<ShardManifest> ShardManifest::Parse(const std::string& content) {
 
 std::string RenderDiffTable(const std::vector<ShardDiffRow>& rows) {
   std::ostringstream out;
-  out << "# qsteer-rulediff v1\n";
   out << "# signature\tchange_pct\tjob\tonly_in_default\tonly_in_new\n";
   for (const ShardDiffRow& row : rows) {
     out << row.signature_hex << '\t' << DoubleText(row.change_pct) << '\t'

@@ -76,6 +76,12 @@ struct ShardArtifact {
   static Result<ShardArtifact> Parse(const std::string& content);
 };
 
+/// Header lines of the manifest and the merged rule-diff table files
+/// (WriteArtifact / ReadArtifact); the bodies come from
+/// ShardManifest::Serialize and RenderDiffTable.
+inline constexpr char kShardManifestHeader[] = "# qsteer-shard-manifest v1";
+inline constexpr char kRuleDiffHeader[] = "# qsteer-rulediff v1";
+
 /// The commit record fingerprinting an artifact.
 struct ShardManifest {
   std::string workload;

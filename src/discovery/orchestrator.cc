@@ -370,8 +370,7 @@ Result<DiscoveryResult> ShardOrchestrator::Run() {
       to_compute.push_back(s);
       continue;
     }
-    bool had_checksum = false;
-    Result<std::string> manifest_read = ReadFileChecksummed(manifest_path, &had_checksum);
+    Result<std::string> manifest_read = ReadArtifact(manifest_path, kShardManifestHeader);
     if (!manifest_read.ok()) {
       if (manifest_read.status().code() != StatusCode::kNotFound) {
         // Torn or corrupt manifest: the commit record itself is untrusted,
@@ -383,10 +382,7 @@ Result<DiscoveryResult> ShardOrchestrator::Run() {
       to_compute.push_back(s);
       continue;
     }
-    Result<ShardManifest> manifest =
-        had_checksum ? ShardManifest::Parse(manifest_read.value())
-                     : Result<ShardManifest>(Status::InvalidArgument(
-                           "manifest has no crc32 footer: " + manifest_path));
+    Result<ShardManifest> manifest = ShardManifest::Parse(manifest_read.value());
     if (!manifest.ok()) {
       QuarantineFile(manifest_path);
       QuarantineFile(artifact_path);
@@ -529,8 +525,8 @@ Result<DiscoveryResult> ShardOrchestrator::Run() {
     manifest.artifact_file = ShardArtifactName(s);
     manifest.artifact_bytes = static_cast<int64_t>(artifact_bytes.size());
     manifest.artifact_crc32 = Crc32(artifact_bytes);
-    status = WriteFileChecksummed(options_.dir + "/" + ShardManifestName(s),
-                                  manifest.Serialize(), options_.sync);
+    status = WriteArtifact(options_.dir + "/" + ShardManifestName(s), kShardManifestHeader,
+                           manifest.Serialize(), options_.sync);
     if (!status.ok()) return status;
 
     artifacts[static_cast<size_t>(s)] = std::move(artifact);
@@ -559,11 +555,11 @@ Result<DiscoveryResult> ShardOrchestrator::Run() {
   result.merged_store = merged.Serialize();
   result.merged_diff_table = RenderDiffTable(RowsInOrder(merged_rows));
 
-  Status status = WriteFileChecksummed(options_.dir + "/merged_recommendations.qrs",
-                                       result.merged_store, options_.sync);
+  Status status = WriteArtifact(options_.dir + "/merged_recommendations.qrs",
+                                kRecommenderStoreHeader, result.merged_store, options_.sync);
   if (!status.ok()) return status;
-  status = WriteFileChecksummed(options_.dir + "/merged_rulediff.txt",
-                                result.merged_diff_table, options_.sync);
+  status = WriteArtifact(options_.dir + "/merged_rulediff.txt", kRuleDiffHeader,
+                         result.merged_diff_table, options_.sync);
   if (!status.ok()) return status;
 
   if (!options_.save_cache_file.empty()) {
@@ -582,14 +578,13 @@ Result<DiscoveryResult> ShardOrchestrator::Run() {
 
   result.completed = true;
   std::ostringstream summary;
-  summary << "# qsteer-discovery-summary v1\n";
   summary << "workload " << workload_->spec().name << "\n";
   summary << "day " << day_ << "\n";
   summary << "shards " << options_.num_shards << "\n";
   summary << "merged_groups " << merged_rows.size() << "\n";
   summary << counters.ToString();
-  status = WriteFileChecksummed(options_.dir + "/discovery_summary.txt", summary.str(),
-                                options_.sync);
+  status = WriteArtifact(options_.dir + "/discovery_summary.txt", kDiscoverySummaryHeader,
+                         summary.str(), options_.sync);
   if (!status.ok()) return status;
   return result;
 }

@@ -53,6 +53,10 @@
 
 namespace qsteer {
 
+/// Header line of `discovery_summary.txt`, the run summary the merge step
+/// writes last (WriteArtifact) and `qsteer analyze --discovery-dir` reads.
+inline constexpr char kDiscoverySummaryHeader[] = "# qsteer-discovery-summary v1";
+
 /// One crash window. `window` names the protocol step; windows are visited
 /// in a deterministic order, and `index` is the 0-based position of this
 /// window within the run (stable across identical runs — the chaos
@@ -175,7 +179,8 @@ struct DiscoveryResult {
   int crash_shard = -1;
   DiscoveryCounters counters;
   /// Merged recommender store (SteeringRecommender::Serialize bytes) and
-  /// merged rule-diff table — both bit-identical to an unsharded run.
+  /// merged rule-diff table (RenderDiffTable bytes) — both bit-identical to
+  /// an unsharded run. On disk each is the body of an artifact.
   std::string merged_store;
   std::string merged_diff_table;
   /// Serialized ranker after batch training (empty when ranking is off).

@@ -135,8 +135,6 @@ void CandidateRanker::Train(const std::vector<RankerExample>& examples) {
 std::string CandidateRanker::Serialize() const {
   std::string out;
   char buf[160];
-  out.append(kRankerFileHeader);
-  out.push_back('\n');
   std::snprintf(buf, sizeof(buf), "options %d %llu %.17g %.17g %d %lld\n", options_.hidden,
                 static_cast<unsigned long long>(options_.seed), options_.prior_weight,
                 options_.learning_rate, options_.epochs_per_batch,
@@ -165,9 +163,6 @@ std::string CandidateRanker::Serialize() const {
 Status CandidateRanker::ParseInto(const std::string& content, CandidateRanker* out) {
   std::istringstream in(content);
   std::string line;
-  if (!std::getline(in, line) || line != kRankerFileHeader) {
-    return Status::FailedPrecondition("unknown ranker version tag");
-  }
   if (!std::getline(in, line)) return Status::InvalidArgument("ranker: missing options line");
   {
     std::istringstream tokens(line);
@@ -250,16 +245,12 @@ Status CandidateRanker::ParseInto(const std::string& content, CandidateRanker* o
 }
 
 Status CandidateRanker::SaveToFile(const std::string& path, bool sync) const {
-  return WriteFileChecksummed(path, Serialize(), sync);
+  return WriteArtifact(path, kRankerFileHeader, Serialize(), sync);
 }
 
 Status CandidateRanker::WarmFromFile(const std::string& path) {
-  bool had_checksum = false;
-  Result<std::string> read = ReadFileChecksummed(path, &had_checksum);
+  Result<std::string> read = ReadArtifact(path, kRankerFileHeader);
   if (!read.ok()) return read.status();
-  if (!had_checksum) {
-    return Status::InvalidArgument("ranker file has no crc32 footer: " + path);
-  }
   // Parse into a scratch ranker so any damage rejects the whole file and
   // leaves this ranker exactly as it was (run cold, never wrong).
   CandidateRanker scratch(options_);

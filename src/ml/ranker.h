@@ -95,18 +95,20 @@ class CandidateRanker {
 
   int64_t examples_trained() const { return examples_trained_; }
 
-  /// Version-tagged text serialization of the full state (options echo,
-  /// per-rule stats, scaler, MLP incl. Adam moments). Equal state => equal
-  /// bytes; Parse(Serialize()) resumes the exact training trajectory.
+  /// Text serialization of the full state (options echo, per-rule stats,
+  /// scaler, MLP incl. Adam moments), without the file header. Equal state
+  /// => equal bytes; reloading it resumes the exact training trajectory.
   std::string Serialize() const;
 
-  /// Serialize() + crc32 footer via WriteFileChecksummed (atomic rename).
+  /// Writes Serialize() as an artifact headed `qsteer-ranker v1`
+  /// (WriteArtifact: atomic rename + required crc32 footer).
   Status SaveToFile(const std::string& path, bool sync = false) const;
 
   /// Loads a SaveToFile artifact. Same contract as
-  /// CompileCache::WarmFromFile: a missing checksum, version mismatch,
-  /// dimension mismatch or any parse damage rejects the *whole* file and
-  /// leaves this ranker untouched — discovery runs cold, never wrong.
+  /// CompileCache::WarmFromFile: a missing or mismatching footer, another
+  /// header (version), a dimension mismatch or any parse damage rejects
+  /// the *whole* file and leaves this ranker untouched — discovery runs
+  /// cold, never wrong.
   Status WarmFromFile(const std::string& path);
 
  private:

@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <sstream>
-#include <string_view>
 #include <utility>
 
 #include "common/file_io.h"
@@ -148,8 +147,7 @@ namespace {
 
 /// Version-tagged text header ahead of the binary entry records. Bumping the
 /// version (incompatible serde change) makes every older file reject cleanly.
-constexpr char kCacheFileHeader[] = "qsteer-compile-cache v1\n";
-constexpr size_t kCacheFileHeaderLen = sizeof(kCacheFileHeader) - 1;
+constexpr char kCacheFileHeader[] = "qsteer-compile-cache v1";
 constexpr size_t kHexKeyLen = 64;  // BitVector256::ToHexString length
 
 }  // namespace
@@ -196,7 +194,7 @@ Status CompileCache::SaveToFile(const std::string& path, int day, bool sync) con
       writer.PutString(s.error_message);
     }
   }
-  return WriteFileChecksummed(path, kCacheFileHeader + writer.Take(), sync);
+  return WriteArtifact(path, kCacheFileHeader, writer.Take(), sync);
 }
 
 Status CompileCache::WarmFromFile(const std::string& path, int expected_day, int64_t* loaded) {
@@ -206,21 +204,10 @@ Status CompileCache::WarmFromFile(const std::string& path, int expected_day, int
     return status;
   };
 
-  bool had_checksum = false;
-  Result<std::string> read = ReadFileChecksummed(path, &had_checksum);
+  Result<std::string> read = ReadArtifact(path, kCacheFileHeader);
   if (!read.ok()) return reject(read.status());
-  const std::string& content = read.value();
-  if (!had_checksum) {
-    return reject(
-        Status::InvalidArgument("compile-cache file has no crc32 footer: " + path));
-  }
-  if (content.size() < kCacheFileHeaderLen ||
-      content.compare(0, kCacheFileHeaderLen, kCacheFileHeader) != 0) {
-    return reject(
-        Status::FailedPrecondition("unknown compile-cache version tag: " + path));
-  }
 
-  ByteReader reader(std::string_view(content).substr(kCacheFileHeaderLen));
+  ByteReader reader(read.value());
   uint32_t day = 0;
   Status st = reader.GetU32(&day);
   if (!st.ok()) return reject(st);
@@ -236,7 +223,9 @@ Status CompileCache::WarmFromFile(const std::string& path, int expected_day, int
     return reject(Status::InvalidArgument("compile-cache entry count exceeds file size"));
   }
 
-  int64_t inserted = 0;
+  // Parse every entry before inserting any: a file rejected part-way
+  // through must leave the cache exactly as it was.
+  std::vector<std::pair<Key, Result<CompiledPlan>>> parsed;
   for (uint64_t i = 0; i < count; ++i) {
     Key key;
     st = reader.GetU64(&key.fingerprint);
@@ -284,19 +273,20 @@ Status CompileCache::WarmFromFile(const std::string& path, int expected_day, int
       if (!st.ok()) return reject(st);
       st = reader.GetI32(&plan.memo_exprs);
       if (!st.ok()) return reject(st);
-      Insert(key, Result<CompiledPlan>(std::move(plan)));
+      parsed.emplace_back(key, Result<CompiledPlan>(std::move(plan)));
     } else {
       std::string error_message;
       st = reader.GetString(&error_message);
       if (!st.ok()) return reject(st);
-      Insert(key, Result<CompiledPlan>(Status::CompilationFailed(error_message)));
+      parsed.emplace_back(key, Result<CompiledPlan>(Status::CompilationFailed(error_message)));
     }
-    ++inserted;
   }
   if (!reader.AtEnd()) {
     return reject(Status::InvalidArgument("compile-cache file has trailing bytes"));
   }
 
+  for (const auto& [key, result] : parsed) Insert(key, result);
+  const int64_t inserted = static_cast<int64_t>(parsed.size());
   warm_loaded_.fetch_add(inserted, std::memory_order_relaxed);
   if (loaded != nullptr) *loaded = inserted;
   return Status::OK();

@@ -96,18 +96,21 @@ class CompileCache {
   CompileCacheStats stats() const;
 
   /// Persists every cached entry (plans serialized via plan/serde.h,
-  /// permanent failures as their message) to `path`: a version-tagged,
-  /// day-stamped header, binary entry records in sorted key order (two
-  /// caches with equal contents write identical bytes), an atomic rename
-  /// and a crc32 footer. The nightly discovery pass ships these files to
-  /// pre-warm tomorrow's serving caches.
+  /// permanent failures as their message) to `path` as an artifact headed
+  /// `qsteer-compile-cache v1` (WriteArtifact: atomic rename + required
+  /// crc32 footer): a day stamp, then binary entry records in sorted key
+  /// order (two caches with equal contents write identical bytes). The
+  /// nightly discovery pass ships these files to pre-warm tomorrow's
+  /// serving caches.
   Status SaveToFile(const std::string& path, int day, bool sync = true) const;
 
   /// Pre-loads entries from a SaveToFile artifact. The whole file is
   /// rejected (kFailedPrecondition / kInvalidArgument, warm_rejected
-  /// bumped) when the checksum fails, the version tag is unknown, or
+  /// bumped) when the footer is missing or does not match, the header
+  /// names another format or version, any entry fails to parse, or
   /// `expected_day` >= 0 disagrees with the recorded day — the cache then
-  /// simply stays cold. Loaded entries still carry their full keys, so the
+  /// stays exactly as it was: entries are inserted only after the whole
+  /// file parsed. Loaded entries still carry their full keys, so the
   /// existing full-key verification guards collisions exactly as for fresh
   /// inserts; a stale or foreign entry can cost a miss, never a wrong
   /// plan. `loaded` (optional) receives the number of entries inserted.

@@ -89,14 +89,10 @@ Status DurableRecommenderStore::Open() {
 
   // 1. Snapshot (atomic write + crc32 footer + `# seq` watermark). The store
   //    writes no other format, so a checksum mismatch, a missing footer (a
-  //    file cut short at a line boundary) or a missing or malformed
-  //    watermark means external damage and is a hard error.
-  bool had_checksum = false;
-  Result<std::string> snapshot = ReadFileChecksummed(snapshot_path(), &had_checksum);
+  //    file cut short at a line boundary), a foreign header or a missing or
+  //    malformed watermark means external damage and is a hard error.
+  Result<std::string> snapshot = ReadArtifact(snapshot_path(), kRecommenderStoreHeader);
   if (snapshot.ok()) {
-    if (!had_checksum) {
-      return Status::Internal("corrupt snapshot " + snapshot_path() + ": no crc32 footer");
-    }
     Result<uint64_t> seq = ParseSnapshotSeq(snapshot.value());
     if (!seq.ok()) {
       return Status::Internal("corrupt snapshot " + snapshot_path() + ": " +
@@ -248,7 +244,7 @@ Status DurableRecommenderStore::SnapshotLocked() {
   if (!durable()) return Status::OK();
   std::string content = recommender_.Serialize();
   content += kSeqCommentPrefix + std::to_string(applied_seq_) + "\n";
-  Status status = WriteFileChecksummed(snapshot_path(), content, options_.sync);
+  Status status = WriteArtifact(snapshot_path(), kRecommenderStoreHeader, content, options_.sync);
   if (!status.ok()) return status;
   ++snapshots_taken_;
   events_since_snapshot_ = 0;
@@ -407,7 +403,7 @@ Status DurableRecommenderStore::InstallSnapshot(const std::string& content) {
     status = wal_.Reset();
     if (!status.ok()) return status;
     if (!options_.testing_skip_snapshot_write_after_install_reset) {
-      status = WriteFileChecksummed(snapshot_path(), content, options_.sync);
+      status = WriteArtifact(snapshot_path(), kRecommenderStoreHeader, content, options_.sync);
       if (!status.ok()) return status;
       ++snapshots_taken_;
     }

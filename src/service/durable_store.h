@@ -6,14 +6,16 @@
 //   2. append it to the WAL (fsync per options);
 //   3. apply it to the in-memory recommender;
 //   4. every `snapshot_interval` events: serialize the recommender to
-//      `snapshot.qrs` (atomic temp+fsync+rename write with a crc32 footer
-//      and an embedded `# seq N` watermark), then reset the WAL.
+//      `snapshot.qrs` (WriteArtifact under kRecommenderStoreHeader: atomic
+//      temp+fsync+rename write with a crc32 footer; the body ends with a
+//      `# seq N` watermark), then reset the WAL.
 //
-// Recovery (Open): load the snapshot if present (checksum verified), then
-// replay the WAL tail, *skipping* records with seq <= the snapshot's
-// watermark — a crash between snapshot write and WAL reset must not apply
-// events twice. Torn or corrupt WAL tails are detected by the per-record
-// CRC and truncated; the store resumes from the last intact event.
+// Recovery (Open): load the snapshot if present (ReadArtifact: header and
+// checksum verified), then replay the WAL tail, *skipping* records with
+// seq <= the snapshot's watermark — a crash between snapshot write and WAL
+// reset must not apply events twice. Torn or corrupt WAL tails are detected
+// by the per-record CRC and truncated; the store resumes from the last
+// intact event.
 //
 // Because every journaled event is deterministic (LearnCandidate /
 // ObserveValidation / ObserveOutcome / the cooldown tick of a Recommend on
@@ -143,8 +145,8 @@ class DurableRecommenderStore {
   /// signal to fall back to a snapshot install.
   Status ApplyReplicated(uint64_t seq, const std::string& payload) EXCLUDES(mu_);
 
-  /// The store serialized exactly as a disk snapshot (state + `# seq N`
-  /// watermark line): what the leader ships for a snapshot install.
+  /// The body of a disk snapshot (state + `# seq N` watermark line, no
+  /// header or footer): what the leader ships for a snapshot install.
   std::string SerializeForReplication() const EXCLUDES(mu_);
 
   /// Replaces this store's entire state with a shipped snapshot (the

@@ -1,9 +1,10 @@
 #include "service/replication.h"
 
 #include <algorithm>
-#include <cstdlib>
+#include <charconv>
 #include <filesystem>
 #include <sstream>
+#include <system_error>
 
 #include "common/hash.h"
 
@@ -146,7 +147,12 @@ Status ReplicaNode::Deliver(std::string_view payload) {
       if (space == std::string::npos) {
         return Status::InvalidArgument("malformed TAIL entry: " + line);
       }
-      uint64_t seq = std::strtoull(line.c_str(), nullptr, 10);
+      uint64_t seq = 0;
+      const char* seq_end = line.data() + space;
+      std::from_chars_result parsed = std::from_chars(line.data(), seq_end, seq);
+      if (parsed.ec != std::errc() || parsed.ptr != seq_end) {
+        return Status::InvalidArgument("malformed TAIL entry seq: " + line);
+      }
       Status status = store->ApplyReplicated(seq, line.substr(space + 1));
       if (!status.ok()) return status;  // gap → leader falls back to install
       ++applied;

@@ -172,8 +172,9 @@ TEST(CompileCacheUnit, JobFingerprintSeparatesDaysAndSharesRecurrences) {
 // cache; tomorrow's serving tier pre-warms from the file. The contract
 // under test: an intact file restores plans AND permanent failures
 // bit-identically; any damage — torn bytes, a missing footer, a foreign
-// version tag, a day mismatch — rejects the WHOLE file (cold start), and
-// rejection can cost compiles but never change a single result.
+// version tag, a day mismatch, a body that fails part-way — rejects the
+// WHOLE file (cold start), and rejection can cost compiles but never change
+// a single result.
 
 class PersistDir {
  public:
@@ -304,13 +305,32 @@ TEST(CompileCachePersist, WarmRejectsDamageForeignVersionAndWrongDayWholly) {
   }
   // A checksummed file of some OTHER format: unknown version tag.
   {
-    ASSERT_TRUE(WriteFileChecksummed(path, "# qsteer-rulediff v1\nnot a cache\n",
-                                     /*sync=*/false)
-                    .ok());
+    ASSERT_TRUE(
+        WriteArtifact(path, "# qsteer-rulediff v1", "not a cache\n", /*sync=*/false).ok());
     CompileCache warmed;
     Status status = warmed.WarmFromFile(path, 5, nullptr);
     ASSERT_FALSE(status.ok());
     EXPECT_EQ(status.code(), StatusCode::kFailedPrecondition);
+  }
+  // A valid footer over a body that fails late (one trailing byte after the
+  // last entry): the entries parsed before the error must not stay behind.
+  {
+    CompileCache two;
+    two.Insert({7, RuleConfig::Default().bits()}, Result<CompiledPlan>(MakePlan(2)));
+    two.Insert({8, RuleConfig::Default().bits()}, Result<CompiledPlan>(MakePlan(3)));
+    ASSERT_TRUE(two.SaveToFile(path, /*day=*/5, /*sync=*/false).ok());
+    Result<std::string> body = ReadArtifact(path, "qsteer-compile-cache v1");
+    ASSERT_TRUE(body.ok()) << body.status().ToString();
+    ASSERT_TRUE(WriteArtifact(path, "qsteer-compile-cache v1", body.value() + "x",
+                              /*sync=*/false)
+                    .ok());
+    CompileCache warmed;
+    int64_t loaded = -1;
+    EXPECT_FALSE(warmed.WarmFromFile(path, 5, &loaded).ok());
+    EXPECT_EQ(loaded, 0);
+    EXPECT_EQ(warmed.stats().warm_rejected, 1);
+    EXPECT_EQ(warmed.stats().warm_loaded, 0);
+    EXPECT_EQ(warmed.stats().entries, 0) << "a rejected file loads nothing";
   }
   // Missing file: plain NotFound (the caller's cold-start path).
   {

@@ -168,7 +168,7 @@ TEST_F(ExtensionsTest, RecommenderLearnsRecommendsAndRetires) {
   EXPECT_EQ(recommender.num_retired(), 1);
 }
 
-TEST_F(ExtensionsTest, RecommenderStoreSurvivesSaveLoad) {
+TEST_F(ExtensionsTest, RecommenderStoreSurvivesSerializeRoundTrip) {
   PipelineOptions options;
   options.max_candidate_configs = 60;
   SteeringPipeline pipeline(&optimizer_, &simulator_, options);
@@ -185,11 +185,8 @@ TEST_F(ExtensionsTest, RecommenderStoreSurvivesSaveLoad) {
   recommender.ObserveOutcome(learned_signatures[0], 50.0);
   recommender.ObserveOutcome(learned_signatures[0], 50.0);
 
-  std::string path = ::testing::TempDir() + "/qsteer_store.txt";
-  ASSERT_TRUE(recommender.SaveToFile(path).ok());
-
   SteeringRecommender restored;
-  ASSERT_TRUE(restored.LoadFromFile(path).ok());
+  ASSERT_TRUE(restored.Deserialize(recommender.Serialize()).ok());
   EXPECT_EQ(restored.num_groups(), recommender.num_groups());
   EXPECT_EQ(restored.num_retired(), recommender.num_retired());
   for (const RuleSignature& signature : learned_signatures) {
@@ -202,7 +199,6 @@ TEST_F(ExtensionsTest, RecommenderStoreSurvivesSaveLoad) {
       EXPECT_EQ(before.support, after.support);
     }
   }
-  EXPECT_FALSE(restored.LoadFromFile("/nonexistent/qsteer").ok());
 }
 
 TEST_F(ExtensionsTest, PerMetricModelsOptimizeTheirTarget) {

@@ -311,6 +311,27 @@ TEST(FleetTest, CorruptedFrameIsDetectedAndConvergesAnyway) {
   EXPECT_TRUE(fleet.CheckConvergence().ok());
 }
 
+TEST(FleetTest, TailEntryWithMalformedSeqIsRejectedNotSkipped) {
+  // A TAIL entry's seq must parse strictly: read leniently, "x" becomes
+  // seq 0, which is at or below the watermark, so the entry would be
+  // dropped as an idempotent duplicate and the frame acknowledged.
+  ReplicaNode node(/*id=*/1, DurableStoreOptions{});
+  ASSERT_TRUE(node.Open().ok());
+  node.store()->LearnCandidate(Candidate(1, 0, -10.0));
+  node.store()->ObserveValidation(Sig(1), -9.0);
+  const uint64_t applied = node.store()->applied_seq();
+  const int64_t skipped = node.store()->replicated_skipped();
+  const std::string state = node.store()->SerializeState();
+  ASSERT_EQ(applied, 2u);
+  for (const char* seq : {"", "x", "12x", "-1", "18446744073709551616"}) {
+    const std::string frame = std::string("TAIL 0 1\n") + seq + " garbage\n";
+    EXPECT_FALSE(node.Deliver(frame).ok()) << '"' << seq << '"';
+    EXPECT_EQ(node.store()->applied_seq(), applied) << '"' << seq << '"';
+    EXPECT_EQ(node.store()->replicated_skipped(), skipped) << '"' << seq << '"';
+    EXPECT_EQ(node.store()->SerializeState(), state) << '"' << seq << '"';
+  }
+}
+
 TEST(FleetTest, EphemeralFleetRestartInstallsSnapshot) {
   // Without a durable dir a restarted replica recovers nothing from disk:
   // catch-up must fall back to a snapshot install (watermark 0 is outside

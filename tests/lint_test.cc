@@ -198,6 +198,10 @@ TEST(LintTest, SerializationContractPositive) {
             (Anchors{{"QL009", 9}, {"QL009", 10}, {"QL009", 10}, {"QL009", 13}}));
 }
 
+TEST(LintTest, SerializationContractCoversWriteArtifactCallers) {
+  EXPECT_EQ(LintFixture("ql009_write_artifact.cc"), (Anchors{{"QL009", 8}}));
+}
+
 TEST(LintTest, SerializationContractNegative) {
   EXPECT_EQ(LintFixture("ql009_negative.cc"), Anchors{});
 }

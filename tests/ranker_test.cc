@@ -14,6 +14,7 @@
 
 #include <gtest/gtest.h>
 
+#include "common/file_io.h"
 #include "core/pipeline.h"
 #include "discovery/orchestrator.h"
 #include "workload/generator.h"
@@ -211,9 +212,14 @@ TEST(CandidateRanker, SaveLoadRoundTripAndCorruptionRejectsWholeFile) {
   EXPECT_FALSE(other.WarmFromFile(path).ok());
   EXPECT_EQ(other.Serialize(), before);
 
-  // A checksum-less file (raw Serialize bytes) is also rejected.
-  RawWrite(path, trained.Serialize());
+  // A footer-less file (header line + Serialize bytes) is also rejected.
+  RawWrite(path, "qsteer-ranker v1\n" + trained.Serialize());
   EXPECT_FALSE(other.WarmFromFile(path).ok());
+  EXPECT_EQ(other.Serialize(), before);
+
+  // A valid footer over another format's header: a foreign version.
+  ASSERT_TRUE(WriteArtifact(path, "qsteer-ranker v2", trained.Serialize(), /*sync=*/false).ok());
+  EXPECT_EQ(other.WarmFromFile(path).code(), StatusCode::kFailedPrecondition);
   EXPECT_EQ(other.Serialize(), before);
 
   // Missing file.

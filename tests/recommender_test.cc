@@ -2,12 +2,9 @@
 // (N clean re-runs before a candidate serves), the per-group circuit
 // breaker (closed -> open -> half-open -> closed, with automatic rollback
 // to the default while open), retirement after repeated rollbacks, and
-// persistence of the whole guardrail state across save/load.
+// persistence of the whole guardrail state across Serialize/Deserialize.
 #include <gtest/gtest.h>
 
-#include <algorithm>
-#include <fstream>
-#include <sstream>
 #include <string>
 #include <vector>
 
@@ -212,16 +209,7 @@ TEST(Recommender, ImprovementBarFiltersWeakCandidates) {
   EXPECT_FALSE(rec.LearnFromAnalysis(failed));
 }
 
-std::vector<std::string> SortedLines(const std::string& path) {
-  std::ifstream in(path);
-  std::vector<std::string> lines;
-  std::string line;
-  while (std::getline(in, line)) lines.push_back(line);
-  std::sort(lines.begin(), lines.end());
-  return lines;
-}
-
-TEST(Recommender, SaveLoadRoundTripsFullGuardrailState) {
+TEST(Recommender, SerializeRoundTripsFullGuardrailState) {
   SteeringRecommender rec(FastOptions());
 
   // One group mid-validation.
@@ -241,12 +229,9 @@ TEST(Recommender, SaveLoadRoundTripsFullGuardrailState) {
   ASSERT_TRUE(rec.LearnFromAnalysis(MakeAnalysis(Sig(4), 100.0, 60.0, AltConfig(4))));
   rec.ObserveValidation(Sig(4), 30.0);
 
-  std::string path1 = ::testing::TempDir() + "/guardrail_store_1.txt";
-  std::string path2 = ::testing::TempDir() + "/guardrail_store_2.txt";
-  ASSERT_TRUE(rec.SaveToFile(path1).ok());
-
+  const std::string bytes = rec.Serialize();
   SteeringRecommender loaded(FastOptions());
-  ASSERT_TRUE(loaded.LoadFromFile(path1).ok());
+  ASSERT_TRUE(loaded.Deserialize(bytes).ok());
   EXPECT_EQ(loaded.num_groups(), rec.num_groups());
   EXPECT_EQ(loaded.num_serving(), rec.num_serving());
   EXPECT_EQ(loaded.num_pending_validation(), rec.num_pending_validation());
@@ -254,10 +239,9 @@ TEST(Recommender, SaveLoadRoundTripsFullGuardrailState) {
   EXPECT_EQ(loaded.num_rollbacks(), rec.num_rollbacks());
   EXPECT_EQ(loaded.num_open(), rec.num_open());
 
-  // Save(Load(Save(x))) is the same store: every field survived (entry
-  // order is a hash-map artifact, so compare as line sets).
-  ASSERT_TRUE(loaded.SaveToFile(path2).ok());
-  EXPECT_EQ(SortedLines(path1), SortedLines(path2));
+  // Serialize(Deserialize(Serialize(x))) is the same store: every field
+  // survived (entries are emitted in signature order, so bytes compare).
+  EXPECT_EQ(loaded.Serialize(), bytes);
 
   // Behavior also survived: the open group continues its cooldown where the
   // original left off (2 more default-served lookups, then a probe).
@@ -270,40 +254,22 @@ TEST(Recommender, SaveLoadRoundTripsFullGuardrailState) {
   EXPECT_FALSE(loaded.Recommend(Sig(1)).is_default);
 }
 
-TEST(Recommender, LegacyV1StoreLoadsAdoptedAndClosed) {
-  // v1 files predate the guardrails: no header, five fixed fields + hints.
-  std::string path = ::testing::TempDir() + "/legacy_store.txt";
-  std::string hints = ToHintString(AltConfig(5));
-  {
-    std::ofstream out(path);
-    out << Sig(6).ToHexString() << " -22.5 3 1 0 " << hints << "\n";
-    out << Sig(7).ToHexString() << " -40 1 0 1 " << ToHintString(AltConfig(9)) << "\n";
-  }
+TEST(Recommender, DeserializeRejectsMalformedStoresWholly) {
   SteeringRecommender rec(FastOptions());
-  ASSERT_TRUE(rec.LoadFromFile(path).ok());
-  EXPECT_EQ(rec.num_groups(), 2);
-  EXPECT_EQ(rec.num_retired(), 1);
-  EXPECT_EQ(rec.num_pending_validation(), 0);
-  // Legacy entries were already serving: adopted, breaker closed.
-  SteeringRecommender::Recommendation served = rec.Recommend(Sig(6));
-  ASSERT_FALSE(served.is_default);
-  EXPECT_TRUE(served.config == AltConfig(5));
-  EXPECT_EQ(served.support, 3);
-  EXPECT_DOUBLE_EQ(served.expected_improvement_pct, -22.5);
-  // The retired legacy entry stays retired.
-  EXPECT_TRUE(rec.Recommend(Sig(7)).is_default);
-}
-
-TEST(Recommender, LoadRejectsMalformedStores) {
-  std::string path = ::testing::TempDir() + "/bad_store.txt";
-  {
-    std::ofstream out(path);
-    out << "# qsteer-recommender-store v2\n";
-    out << Sig(1).ToHexString() << " -20 1 0 0 1 2 9 0 0 0 0 \n";  // breaker 9 invalid
+  Adopt(&rec, Sig(2), AltConfig(2));
+  const std::string before = rec.Serialize();
+  const std::string hints = ToHintString(AltConfig(5));
+  for (const std::string& bad : {
+           // breaker state 9 is invalid
+           Sig(1).ToHexString() + " -20 1 0 0 1 2 9 0 0 0 0 \n",
+           // a five-field line of the retired v1 format
+           Sig(6).ToHexString() + " -22.5 3 1 0 " + hints + "\n",
+           // a valid line followed by a truncated one
+           before + Sig(7).ToHexString() + " -40 1\n",
+       }) {
+    EXPECT_FALSE(rec.Deserialize(bad).ok()) << bad;
+    EXPECT_EQ(rec.Serialize(), before) << "a rejected blob must leave the store as it was";
   }
-  SteeringRecommender rec;
-  EXPECT_FALSE(rec.LoadFromFile(path).ok());
-  EXPECT_FALSE(rec.LoadFromFile(::testing::TempDir() + "/does_not_exist.txt").ok());
 }
 
 }  // namespace

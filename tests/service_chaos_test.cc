@@ -321,7 +321,7 @@ TEST(DurableStoreChaosTest, SnapshotCutBeforeFooterIsAHardError) {
 TEST(DurableStoreChaosTest, SnapshotWithoutSeqWatermarkIsAHardError) {
   TempDir dir;
   std::string path = WriteScriptSnapshot(dir.path());
-  Result<std::string> content = ReadFileChecksummed(path);
+  Result<std::string> content = ReadArtifact(path, kRecommenderStoreHeader);
   ASSERT_TRUE(content.ok());
   std::string stripped;
   std::istringstream lines(content.value());
@@ -330,10 +330,26 @@ TEST(DurableStoreChaosTest, SnapshotWithoutSeqWatermarkIsAHardError) {
   }
   ASSERT_NE(stripped, content.value());
   // A valid footer over the rest: the checksum alone cannot catch this.
-  ASSERT_TRUE(WriteFileChecksummed(path, stripped, /*sync=*/false).ok());
+  ASSERT_TRUE(WriteArtifact(path, kRecommenderStoreHeader, stripped, /*sync=*/false).ok());
 
   DurableRecommenderStore reopened(StoreOptions(dir.path(), 5));
   EXPECT_FALSE(reopened.Open().ok()) << "a snapshot without its watermark must not load";
+}
+
+TEST(DurableStoreChaosTest, SnapshotUnderAnotherHeaderIsAHardError) {
+  // A footered file whose first line is not the store header is some other
+  // format; its lines must never load as store entries.
+  TempDir dir;
+  std::string path = WriteScriptSnapshot(dir.path());
+  Result<std::string> body = ReadArtifact(path, kRecommenderStoreHeader);
+  ASSERT_TRUE(body.ok());
+  ASSERT_TRUE(
+      WriteArtifact(path, "# qsteer-recommender-store v1", body.value(), /*sync=*/false).ok());
+
+  DurableRecommenderStore reopened(StoreOptions(dir.path(), 5));
+  Status status = reopened.Open();
+  ASSERT_FALSE(status.ok()) << "a snapshot under another header must not load";
+  EXPECT_EQ(status.code(), StatusCode::kFailedPrecondition);
 }
 
 TEST(DurableStoreChaosTest, MalformedSeqInstallLeavesStateUntouched) {

@@ -61,10 +61,8 @@ TEST(ServiceIntegration, WeekOfServingSavesRuntimeSafely) {
 
   // Persist + restore mid-deployment (operational restart). Adoption and
   // validation state survive the round trip.
-  std::string path = ::testing::TempDir() + "/service_store.txt";
-  ASSERT_TRUE(recommender.SaveToFile(path).ok());
   SteeringRecommender serving;
-  ASSERT_TRUE(serving.LoadFromFile(path).ok());
+  ASSERT_TRUE(serving.Deserialize(recommender.Serialize()).ok());
   // Several analyses can strengthen one group: adoptions >= groups.
   ASSERT_EQ(serving.num_groups(), recommender.num_groups());
   ASSERT_GE(adopted, serving.num_groups());

@@ -1,7 +1,7 @@
 // Unit tests of the durability primitives under the steering service:
-// CRC32, atomic + checksummed file I/O, the write-ahead log (roundtrip,
-// torn-tail truncation, corrupt-record truncation, snapshot reset), and
-// the bounded MPMC request queue.
+// CRC32, atomic file I/O, the checksummed artifact codec, the write-ahead
+// log (roundtrip, torn-tail truncation, corrupt-record truncation, snapshot
+// reset), and the bounded MPMC request queue.
 #include <gtest/gtest.h>
 
 #include <cstdio>
@@ -85,50 +85,91 @@ TEST(FileIoTest, AtomicWriteRoundTripsAndReplacesWholly) {
   EXPECT_FALSE(std::filesystem::exists(path + ".tmp"));
 }
 
-TEST(FileIoTest, ChecksummedRoundTrip) {
+TEST(FileIoTest, ArtifactRoundTrip) {
   TempDir dir;
   std::string path = dir.Path("store.qrs");
-  std::string content = "line one\nline two\n";
-  ASSERT_TRUE(WriteFileChecksummed(path, content, /*sync=*/false).ok());
-  bool had_checksum = false;
-  Result<std::string> loaded = ReadFileChecksummed(path, &had_checksum);
+  std::string body = "line one\nline two\n";
+  ASSERT_TRUE(WriteArtifact(path, "fmt v1", body, /*sync=*/false).ok());
+  Result<std::string> loaded = ReadArtifact(path, "fmt v1");
   ASSERT_TRUE(loaded.ok()) << loaded.status().ToString();
-  EXPECT_TRUE(had_checksum);
-  EXPECT_EQ(loaded.value(), content);
+  EXPECT_EQ(loaded.value(), body);
 }
 
-TEST(FileIoTest, CorruptChecksummedFileIsRejected) {
+TEST(FileIoTest, ArtifactFramingIsHeaderBodyFooter) {
+  // The exact bytes every durable file has on disk; the crc32 covers the
+  // header line and the body.
+  TempDir dir;
+  std::string path = dir.Path("pinned.txt");
+  ASSERT_TRUE(WriteArtifact(path, "fmt v1", "x\n", /*sync=*/false).ok());
+  EXPECT_EQ(RawRead(path), "fmt v1\nx\n# crc32 a9b4bd79\n");
+}
+
+TEST(FileIoTest, CorruptArtifactIsRejected) {
   TempDir dir;
   std::string path = dir.Path("store.qrs");
-  ASSERT_TRUE(WriteFileChecksummed(path, "important state\n", /*sync=*/false).ok());
+  ASSERT_TRUE(WriteArtifact(path, "fmt v1", "important state\n", /*sync=*/false).ok());
   std::string raw = RawRead(path);
-  raw[3] ^= 0x20;  // flip one content bit
+  raw[10] ^= 0x20;  // flip one body bit
   RawWrite(path, raw);
-  Result<std::string> loaded = ReadFileChecksummed(path);
+  Result<std::string> loaded = ReadArtifact(path, "fmt v1");
   ASSERT_FALSE(loaded.ok());
   EXPECT_EQ(loaded.status().code(), StatusCode::kInvalidArgument);
 }
 
-TEST(FileIoTest, TruncatedChecksummedFileIsRejected) {
+TEST(FileIoTest, TornArtifactIsRejected) {
   TempDir dir;
   std::string path = dir.Path("store.qrs");
-  ASSERT_TRUE(WriteFileChecksummed(path, "0123456789abcdef\nmore\n", /*sync=*/false).ok());
+  ASSERT_TRUE(WriteArtifact(path, "fmt v1", "0123456789abcdef\nmore\n", /*sync=*/false).ok());
   std::string raw = RawRead(path);
   // Simulate a torn non-atomic rewrite that kept the footer but lost middle
   // content (the checksum no longer matches).
   RawWrite(path, raw.substr(0, 4) + raw.substr(10));
-  EXPECT_FALSE(ReadFileChecksummed(path).ok());
+  EXPECT_FALSE(ReadArtifact(path, "fmt v1").ok());
 }
 
-TEST(FileIoTest, FileWithoutFooterLoadsUnchecked) {
+TEST(FileIoTest, FileWithoutFooterIsRejected) {
   TempDir dir;
-  std::string path = dir.Path("legacy.qrs");
-  RawWrite(path, "legacy content, no footer\n");
-  bool had_checksum = true;
-  Result<std::string> loaded = ReadFileChecksummed(path, &had_checksum);
-  ASSERT_TRUE(loaded.ok());
-  EXPECT_FALSE(had_checksum);
-  EXPECT_EQ(loaded.value(), "legacy content, no footer\n");
+  std::string path = dir.Path("unfooted.qrs");
+  RawWrite(path, "fmt v1\ncontent, no footer\n");
+  Result<std::string> loaded = ReadArtifact(path, "fmt v1");
+  ASSERT_FALSE(loaded.ok());
+  EXPECT_EQ(loaded.status().code(), StatusCode::kInvalidArgument);
+}
+
+TEST(FileIoTest, EveryBitFlipAndTruncationOfAnArtifactIsRejected) {
+  TempDir dir;
+  std::string path = dir.Path("small.txt");
+  ASSERT_TRUE(WriteArtifact(path, "fmt v1", "x\n", /*sync=*/false).ok());
+  const std::string intact = RawRead(path);
+  ASSERT_TRUE(ReadArtifact(path, "fmt v1").ok());
+
+  for (size_t byte = 0; byte < intact.size(); ++byte) {
+    for (int bit = 0; bit < 8; ++bit) {
+      std::string damaged = intact;
+      damaged[byte] = static_cast<char>(damaged[byte] ^ (1 << bit));
+      RawWrite(path, damaged);
+      Result<std::string> loaded = ReadArtifact(path, "fmt v1");
+      EXPECT_FALSE(loaded.ok()) << "bit " << bit << " of byte " << byte;
+    }
+  }
+  // Every shorter prefix, including a cut just before the footer, where
+  // every line that is left is intact.
+  for (size_t size = 0; size < intact.size(); ++size) {
+    RawWrite(path, intact.substr(0, size));
+    Result<std::string> loaded = ReadArtifact(path, "fmt v1");
+    ASSERT_FALSE(loaded.ok()) << "prefix of " << size << " bytes";
+    EXPECT_EQ(loaded.status().code(), StatusCode::kInvalidArgument) << size;
+  }
+
+  RawWrite(path, intact);
+  for (const char* other : {"fmt v2", "fmt v", "fmt v1 "}) {
+    Result<std::string> loaded = ReadArtifact(path, other);
+    ASSERT_FALSE(loaded.ok()) << other;
+    EXPECT_EQ(loaded.status().code(), StatusCode::kFailedPrecondition) << other;
+  }
+  Result<std::string> missing = ReadArtifact(dir.Path("absent.txt"), "fmt v1");
+  ASSERT_FALSE(missing.ok());
+  EXPECT_EQ(missing.status().code(), StatusCode::kNotFound);
 }
 
 // ------------------------------------------------------------------ wal

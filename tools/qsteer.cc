@@ -384,15 +384,13 @@ int CmdAnalyze(int argc, char** argv) {
     // lease / quarantine counters plus compile-cache warm stats, written
     // checksummed by the orchestrator's merge step.
     std::string summary_path = discovery_dir + "/discovery_summary.txt";
-    bool had_checksum = false;
-    Result<std::string> summary = ReadFileChecksummed(summary_path, &had_checksum);
+    Result<std::string> summary = ReadArtifact(summary_path, kDiscoverySummaryHeader);
     if (!summary.ok()) {
       std::fprintf(stderr, "qsteer analyze: cannot read %s: %s\n", summary_path.c_str(),
                    summary.status().ToString().c_str());
       return 1;
     }
-    std::printf("  discovery summary (%s, checksum %s):\n", summary_path.c_str(),
-                had_checksum ? "valid" : "ABSENT");
+    std::printf("  discovery summary (%s, checksum valid):\n", summary_path.c_str());
     // Indent the summary file under the analyze report.
     std::string indented = "    ";
     for (char c : summary.value()) {

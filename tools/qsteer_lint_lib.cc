@@ -375,7 +375,7 @@ std::vector<RangeFor> FindRangeFors(std::string_view stripped) {
 bool IsOrderSensitive(std::string_view stripped) {
   for (std::string_view marker :
        {"Serialize", "ToString", "ostream", "ostringstream", "AtomicWriteFile",
-        "WriteFileChecksummed", "fprintf", "printf"}) {
+        "WriteArtifact", "fprintf", "printf"}) {
     if (stripped.find(marker) != std::string_view::npos) return true;
   }
   return false;
@@ -2188,7 +2188,7 @@ std::vector<Finding> LintOneFile(const FileState& file, const LintOptions& optio
   // QL009: bytes written through the durable-serialization helpers must
   // round-trip doubles bit-exactly; %.17g is the one blessed format.
   bool serializes = ContainsWordCall(stripped, "AtomicWriteFile", /*require_paren=*/true) ||
-                    ContainsWordCall(stripped, "WriteFileChecksummed", /*require_paren=*/true);
+                    ContainsWordCall(stripped, "WriteArtifact", /*require_paren=*/true);
   if (!serializes) {
     for (const FuncInfo& func : global.model.funcs) {
       if (func.path == path && func.has_body() &&

@@ -48,7 +48,7 @@
 //                             declared in *any* linted file.)
 //   QL010 crc-before-trust    a function that reads bytes from disk must
 //                             verify a crc32 (directly, or by calling a
-//                             verifying helper such as ReadFileChecksummed)
+//                             verifying helper such as ReadArtifact)
 //                             before trusting them, or carry a justified
 //                             suppression.
 //
