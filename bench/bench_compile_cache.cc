@@ -154,7 +154,7 @@ int main(int argc, char** argv) {
               cached_total > 0 ? uncached_total / cached_total : 0.0, warm_speedup);
   std::printf("cache: %s\n", stats.ToString().c_str());
   std::printf("span-equivalent candidates pruned: %lld\n",
-              static_cast<long long>(cached.span_duplicates_pruned()));
+              static_cast<long long>(cached.budget_stats().span_duplicates_pruned));
   std::printf("results bit-identical cached vs uncached, every round: %s\n",
               all_identical ? "yes" : "NO — cache soundness violated");
 

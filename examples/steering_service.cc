@@ -210,13 +210,10 @@ int main(int argc, char** argv) {
         std::fprintf(stderr, "recovery failed: %s\n", restarted.ToString().c_str());
         return 1;
       }
-      const DurableRecommenderStore::RecoveryInfo& recovery = service->store().recovery();
       bool identical = service->store().SerializeState() == pre_crash_state;
-      std::printf("      -- CRASH mid-day %d: recovered from snapshot (seq %llu) + %lld "
-                  "WAL events (%lld skipped); state bit-identical: %s --\n",
-                  day, static_cast<unsigned long long>(recovery.snapshot_seq),
-                  static_cast<long long>(recovery.wal_records_replayed),
-                  static_cast<long long>(recovery.wal_records_skipped),
+      std::printf("      -- CRASH mid-day %d: recovered (%s); "
+                  "state bit-identical: %s --\n",
+                  day, service->store().recovery().ToString().c_str(),
                   identical ? "yes" : "NO");
       if (!identical) return 1;
       std::vector<Job> second_half(jobs.begin() + jobs.size() / 2, jobs.end());

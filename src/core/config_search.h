@@ -38,14 +38,6 @@ struct CandidateGenerationStats {
   int span_duplicates_pruned = 0;
   /// Draws that repeated an earlier draw bit-for-bit (RNG re-draws).
   int repeated_draws = 0;
-
-  // Budgeted-mode accounting, filled by SteeringPipeline after generation
-  // (generation itself never compiles): candidates scored by the
-  // CandidateRanker, candidates actually compiled within the compile
-  // budget, and candidates generated but skipped because the budget ran out.
-  int candidates_scored = 0;
-  int candidates_compiled = 0;
-  int budget_skipped = 0;
 };
 
 /// Generates up to `options.max_configs` candidate configurations for a job

@@ -1,6 +1,7 @@
 #include "core/pipeline.h"
 
 #include <algorithm>
+#include <sstream>
 
 #include "common/hash.h"
 #include "common/stats.h"
@@ -235,7 +236,7 @@ JobAnalysis SteeringPipeline::Recompile(const Job& job) const {
         scores[i] = ranker_->Score(examples[i].features);
       }
     }
-    gen_stats.candidates_scored = static_cast<int>(candidates.size());
+    analysis.candidates_scored = static_cast<int>(candidates.size());
     if (options_.compile_budget > 0 &&
         options_.compile_budget < static_cast<int>(candidates.size())) {
       // Top-budget by (score desc, stream index asc): the index tie-break
@@ -252,14 +253,12 @@ JobAnalysis SteeringPipeline::Recompile(const Job& job) const {
              options_.compile_budget < static_cast<int>(candidates.size())) {
     selected.resize(static_cast<size_t>(options_.compile_budget));
   }
-  gen_stats.candidates_compiled = static_cast<int>(selected.size());
-  gen_stats.budget_skipped = static_cast<int>(candidates.size() - selected.size());
-  analysis.candidates_scored = gen_stats.candidates_scored;
-  analysis.candidates_compiled = gen_stats.candidates_compiled;
-  analysis.budget_skipped = gen_stats.budget_skipped;
-  ctr_candidates_scored_.fetch_add(gen_stats.candidates_scored, std::memory_order_relaxed);
-  ctr_candidates_compiled_.fetch_add(gen_stats.candidates_compiled, std::memory_order_relaxed);
-  ctr_budget_skipped_.fetch_add(gen_stats.budget_skipped, std::memory_order_relaxed);
+  analysis.candidates_compiled = static_cast<int>(selected.size());
+  analysis.budget_skipped = static_cast<int>(candidates.size() - selected.size());
+  ctr_candidates_scored_.fetch_add(analysis.candidates_scored, std::memory_order_relaxed);
+  ctr_candidates_compiled_.fetch_add(analysis.candidates_compiled,
+                                     std::memory_order_relaxed);
+  ctr_budget_skipped_.fetch_add(analysis.budget_skipped, std::memory_order_relaxed);
 
   // Fan the candidate recompilations out over the pool: each candidate is
   // compiled independently (Optimizer::Compile is reentrant), then outcomes
@@ -464,7 +463,18 @@ SteeringPipeline::BudgetStats SteeringPipeline::budget_stats() const {
   stats.budget_skipped = ctr_budget_skipped_.load(std::memory_order_relaxed);
   stats.improvements_found = ctr_improvements_found_.load(std::memory_order_relaxed);
   stats.ranker_examples_trained = ctr_ranker_examples_.load(std::memory_order_relaxed);
+  stats.span_duplicates_pruned = ctr_span_pruned_.load(std::memory_order_relaxed);
   return stats;
+}
+
+std::string SteeringPipeline::BudgetStats::ToString() const {
+  std::ostringstream out;
+  out << "scored=" << candidates_scored << " compiled=" << candidates_compiled
+      << " skipped=" << budget_skipped << " improvements=" << improvements_found
+      << " improvements_per_compile=" << ImprovementsPerCompile()
+      << " ranker_examples=" << ranker_examples_trained
+      << " span_pruned=" << span_duplicates_pruned;
+  return out.str();
 }
 
 std::vector<int> SteeringPipeline::SelectJobsInWindow(

@@ -120,10 +120,10 @@ struct JobAnalysis {
   /// (degraded: they are excluded from BestBy and the default is kept).
   int exec_failures = 0;
   int cheaper_than_default = 0;
-  /// Budgeted-mode accounting (see CandidateGenerationStats): candidates
-  /// scored by the ranker, compiled within the compile budget, and skipped
-  /// because the budget ran out. With budgeting off, candidates_compiled =
-  /// candidates_generated and the others are 0.
+  /// Budgeted-mode accounting: candidates scored by the ranker, compiled
+  /// within the compile budget, and skipped because the budget ran out.
+  /// With budgeting off, candidates_compiled = candidates_generated and the
+  /// others are 0.
   int candidates_scored = 0;
   int candidates_compiled = 0;
   int budget_skipped = 0;
@@ -209,12 +209,6 @@ class SteeringPipeline {
   Status WarmCompileCache(const std::string& path, int expected_day,
                           int64_t* loaded = nullptr) const;
 
-  /// Cumulative candidate draws pruned by span projection across all
-  /// analyses run through this pipeline.
-  int64_t span_duplicates_pruned() const {
-    return ctr_span_pruned_.load(std::memory_order_relaxed);
-  }
-
   /// True when this pipeline owns a CandidateRanker (rank_candidates).
   bool ranker_enabled() const { return options_.rank_candidates; }
 
@@ -240,8 +234,10 @@ class SteeringPipeline {
   Status SaveRanker(const std::string& path, bool sync = false) const;
   Status WarmRanker(const std::string& path) const;
 
-  /// Cumulative budgeted-discovery counters across all analyses run through
-  /// this pipeline (thread-safe snapshot; observability only).
+  /// Cumulative candidate-generation counters across all analyses run
+  /// through this pipeline (thread-safe snapshot; observability only). The
+  /// service status and the discovery summary embed this struct and print
+  /// it with ToString().
   struct BudgetStats {
     int64_t candidates_scored = 0;
     int64_t candidates_compiled = 0;
@@ -249,11 +245,14 @@ class SteeringPipeline {
     /// Executed alternatives that beat the default plan's measured runtime.
     int64_t improvements_found = 0;
     int64_t ranker_examples_trained = 0;
+    /// Candidate draws pruned by span projection before compilation.
+    int64_t span_duplicates_pruned = 0;
     double ImprovementsPerCompile() const {
       return candidates_compiled > 0
                  ? static_cast<double>(improvements_found) / candidates_compiled
                  : 0.0;
     }
+    std::string ToString() const;
   };
   BudgetStats budget_stats() const;
 
@@ -319,9 +318,9 @@ class SteeringPipeline {
   mutable std::atomic<int64_t> ctr_exec_retries_{0};
   mutable std::atomic<int64_t> ctr_exec_failures_{0};
   mutable std::atomic<int64_t> ctr_fallbacks_{0};
-  mutable std::atomic<int64_t> ctr_span_pruned_{0};
 
-  // Budgeted-discovery counters (same relaxed-atomic observability contract).
+  // BudgetStats counters (same relaxed-atomic observability contract).
+  mutable std::atomic<int64_t> ctr_span_pruned_{0};
   mutable std::atomic<int64_t> ctr_candidates_scored_{0};
   mutable std::atomic<int64_t> ctr_candidates_compiled_{0};
   mutable std::atomic<int64_t> ctr_budget_skipped_{0};

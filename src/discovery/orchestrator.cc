@@ -139,11 +139,9 @@ std::string DiscoveryCounters::ToString() const {
   out << "crash_windows=" << crash_windows << "\n";
   out << "cache: warm_loaded=" << cache_warm_loaded
       << " warm_rejected=" << cache_warm_rejected << "\n";
-  out << "budget: scored=" << candidates_scored << " compiled=" << candidates_compiled
-      << " skipped=" << budget_skipped << " improvements=" << improvements_found << "\n";
-  out << "ranker: examples_trained=" << ranker_examples_trained
-      << " warm_loaded=" << ranker_warm_loaded << " warm_rejected=" << ranker_warm_rejected
-      << "\n";
+  out << "budget: " << budget.ToString() << "\n";
+  out << "ranker: warm_loaded=" << ranker_warm_loaded
+      << " warm_rejected=" << ranker_warm_rejected << "\n";
   return out.str();
 }
 
@@ -305,11 +303,9 @@ Result<DiscoveryResult> ShardOrchestrator::Run() {
 
   // ---- Compile-cache pre-warm (never fatal: rejection = cold start) ----
   if (!options_.warm_cache_file.empty()) {
-    // qsteer-lint: allow(unchecked-status) rejection means a cold start, which is always correct
-    (void)impl_->pipeline->WarmCompileCache(options_.warm_cache_file, day_);
-    CompileCacheStats cache_stats = impl_->pipeline->compile_cache_stats();
-    counters.cache_warm_loaded = cache_stats.warm_loaded;
-    counters.cache_warm_rejected = cache_stats.warm_rejected;
+    Status warm = impl_->pipeline->WarmCompileCache(options_.warm_cache_file, day_,
+                                                    &counters.cache_warm_loaded);
+    if (!warm.ok()) counters.cache_warm_rejected = 1;
   }
 
   // ---- Ranker pre-warm (same contract: rejection = cold start) ----
@@ -468,12 +464,7 @@ Result<DiscoveryResult> ShardOrchestrator::Run() {
     impl_->pipeline->TrainRankerExamples(examples);
     result.ranker_bytes = impl_->pipeline->SerializeRanker();
   }
-  SteeringPipeline::BudgetStats budget_stats = impl_->pipeline->budget_stats();
-  counters.candidates_scored = budget_stats.candidates_scored;
-  counters.candidates_compiled = budget_stats.candidates_compiled;
-  counters.budget_skipped = budget_stats.budget_skipped;
-  counters.improvements_found = budget_stats.improvements_found;
-  counters.ranker_examples_trained = budget_stats.ranker_examples_trained;
+  counters.budget = impl_->pipeline->budget_stats();
 
   std::map<int, std::vector<int>> shard_output_index;  // shard -> indices into outputs
   for (size_t i = 0; i < flat.size(); ++i) {

@@ -154,16 +154,14 @@ struct DiscoveryCounters {
   int64_t groups_total = 0;
   /// Crash windows visited this run.
   int64_t crash_windows = 0;
-  /// Compile-cache warm start (from CompileCacheStats after the warm load).
+  /// Compile-cache warm start: entries loaded from warm_cache_file, or 1
+  /// rejection when the file was refused (the run then starts cold).
   int64_t cache_warm_loaded = 0;
   int64_t cache_warm_rejected = 0;
 
-  /// Ranked / budgeted discovery (from SteeringPipeline::budget_stats()).
-  int64_t candidates_scored = 0;
-  int64_t candidates_compiled = 0;
-  int64_t budget_skipped = 0;
-  int64_t improvements_found = 0;
-  int64_t ranker_examples_trained = 0;
+  /// Candidate generation of this run's analyses (ranked / budgeted
+  /// discovery included).
+  SteeringPipeline::BudgetStats budget;
   /// Ranker warm start: 1 when ranker_in loaded, 1 rejection otherwise.
   int64_t ranker_warm_loaded = 0;
   int64_t ranker_warm_rejected = 0;

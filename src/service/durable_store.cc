@@ -54,7 +54,77 @@ Result<uint64_t> ParseSnapshotSeq(const std::string& content) {
   return *seq;
 }
 
+/// One journaled event, parsed from its single-line payload:
+///   L <sig-hex> <improvement-pct> <hint-string (may be empty)>
+///   V <sig-hex> <runtime-change-pct>
+///   O <sig-hex> <runtime-change-pct>
+///   R <sig-hex>
+struct StoreEvent {
+  char kind = 'R';
+  RuleSignature signature;
+  double change = 0.0;  // L: improvement; V, O: runtime change
+  RuleConfig config;    // L only
+};
+
+/// The fallible half of applying a payload: WAL replay and the follower
+/// apply path both parse first, so a bad payload changes nothing.
+Result<StoreEvent> ParseEvent(const std::string& payload) {
+  std::istringstream in(payload);
+  std::string type, sig_hex;
+  if (!(in >> type >> sig_hex)) {
+    return Status::InvalidArgument("malformed wal event: " + payload);
+  }
+  if (type != "L" && type != "V" && type != "O" && type != "R") {
+    return Status::InvalidArgument("unknown wal event type: " + payload);
+  }
+  StoreEvent event;
+  event.kind = type[0];
+  event.signature = BitVector256::FromHexString(sig_hex);
+  if (event.signature.None() && sig_hex != std::string(64, '0')) {
+    return Status::InvalidArgument("bad signature in wal event: " + payload);
+  }
+  if (event.kind == 'R') return event;
+  std::string change_text;
+  if (!(in >> change_text)) {
+    return Status::InvalidArgument("missing change in wal event: " + payload);
+  }
+  if (!ParseDoubleExact(change_text, &event.change)) {
+    return Status::InvalidArgument("bad change in wal event: " + payload);
+  }
+  if (event.kind == 'L') {
+    std::string hints;
+    std::getline(in, hints);
+    if (!hints.empty() && hints.front() == ' ') hints.erase(0, 1);
+    Result<RuleConfig> config = ParseHintString(hints);
+    if (!config.ok()) return config.status();
+    event.config = config.value();
+  }
+  return event;
+}
+
+/// The infallible half: every parsed event applies.
+void ApplyEvent(const StoreEvent& event, SteeringRecommender* recommender) {
+  if (event.kind == 'L') {
+    recommender->LearnCandidate({event.signature, event.config, event.change});
+  } else if (event.kind == 'V') {
+    recommender->ObserveValidation(event.signature, event.change);
+  } else if (event.kind == 'O') {
+    recommender->ObserveOutcome(event.signature, event.change);
+  } else {
+    recommender->Recommend(event.signature);
+  }
+}
+
 }  // namespace
+
+std::string DurableRecommenderStore::RecoveryInfo::ToString() const {
+  std::ostringstream out;
+  out << "snapshot=" << (loaded_snapshot ? "loaded" : "none")
+      << " snapshot_seq=" << snapshot_seq << " wal_replayed=" << wal_records_replayed
+      << " wal_skipped=" << wal_records_skipped
+      << " wal_truncated_bytes=" << wal_truncated_bytes;
+  return out.str();
+}
 
 DurableRecommenderStore::DurableRecommenderStore(DurableStoreOptions options)
     : options_(std::move(options)), recommender_(options_.recommender) {}
@@ -119,8 +189,9 @@ Status DurableRecommenderStore::Open() {
           ++recovery_.wal_records_skipped;
           return Status::OK();
         }
-        Status status = ApplyPayload(std::string(payload));
-        if (!status.ok()) return status;
+        Result<StoreEvent> event = ParseEvent(std::string(payload));
+        if (!event.ok()) return event.status();
+        ApplyEvent(event.value(), &recommender_);
         applied_seq_ = seq;
         ++recovery_.wal_records_replayed;
         return Status::OK();
@@ -167,57 +238,6 @@ SteeringRecommender::Recommendation DurableRecommenderStore::RecommendFast(
   // take the slow, locked path.
   locked_recommends_.fetch_add(1, std::memory_order_relaxed);
   return Recommend(signature);
-}
-
-Status DurableRecommenderStore::ApplyPayload(const std::string& payload) {
-  // Payloads are single-line text events:
-  //   L <sig-hex> <improvement-pct> <hint-string (may be empty)>
-  //   V <sig-hex> <runtime-change-pct>
-  //   O <sig-hex> <runtime-change-pct>
-  //   R <sig-hex>
-  std::istringstream in(payload);
-  std::string type, sig_hex;
-  if (!(in >> type >> sig_hex)) {
-    return Status::InvalidArgument("malformed wal event: " + payload);
-  }
-  RuleSignature signature = BitVector256::FromHexString(sig_hex);
-  if (signature.None() && sig_hex != std::string(64, '0')) {
-    return Status::InvalidArgument("bad signature in wal event: " + payload);
-  }
-  if (type == "R") {
-    recommender_.Recommend(signature);
-    return Status::OK();
-  }
-  std::string change_text;
-  if (!(in >> change_text)) {
-    return Status::InvalidArgument("missing change in wal event: " + payload);
-  }
-  double change = 0.0;
-  if (!ParseDoubleExact(change_text, &change)) {
-    return Status::InvalidArgument("bad change in wal event: " + payload);
-  }
-  if (type == "V") {
-    recommender_.ObserveValidation(signature, change);
-    return Status::OK();
-  }
-  if (type == "O") {
-    recommender_.ObserveOutcome(signature, change);
-    return Status::OK();
-  }
-  if (type == "L") {
-    std::string hints;
-    std::getline(in, hints);
-    if (!hints.empty() && hints.front() == ' ') hints.erase(0, 1);
-    Result<RuleConfig> config = ParseHintString(hints);
-    if (!config.ok()) return config.status();
-    SteeringRecommender::CandidateObservation observation;
-    observation.signature = signature;
-    observation.config = config.value();
-    observation.improvement_pct = change;
-    recommender_.LearnCandidate(observation);
-    return Status::OK();
-  }
-  return Status::InvalidArgument("unknown wal event type: " + payload);
 }
 
 Status DurableRecommenderStore::JournalAndMark(const std::string& payload) {
@@ -360,10 +380,11 @@ Status DurableRecommenderStore::ApplyReplicated(uint64_t seq, const std::string&
         "replication gap: local watermark " + std::to_string(applied_seq_) +
         ", shipped seq " + std::to_string(seq) + " (snapshot install required)");
   }
+  Result<StoreEvent> event = ParseEvent(payload);
+  if (!event.ok()) return event.status();
   Status status = JournalAndMark(payload);
   if (!status.ok()) return status;
-  status = ApplyPayload(payload);
-  if (!status.ok()) return status;
+  ApplyEvent(event.value(), &recommender_);
   ++replicated_applied_;
   PublishViewLocked();
   // qsteer-lint: allow(unchecked-status) snapshot is opportunistic; the WAL stays authoritative

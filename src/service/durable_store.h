@@ -80,6 +80,8 @@ class DurableRecommenderStore {
     /// between snapshot write and WAL reset).
     int64_t wal_records_skipped = 0;
     int64_t wal_truncated_bytes = 0;
+    /// The one rendering, shared by the service status and the CLI.
+    std::string ToString() const;
   };
 
   /// Recovers state from disk (no-op for an ephemeral store) and opens the
@@ -142,7 +144,10 @@ class DurableRecommenderStore {
   /// the leader's sequence number and applies it. Idempotent — seq <= the
   /// local watermark is skipped (OK) so overlapping tail segments are
   /// harmless; a gap (seq > watermark + 1) is a kFailedPrecondition, the
-  /// signal to fall back to a snapshot install.
+  /// signal to fall back to a snapshot install. The payload is parsed
+  /// before it is journaled: one that does not parse is kInvalidArgument
+  /// and changes nothing, so the WAL never holds a record Open() cannot
+  /// replay.
   Status ApplyReplicated(uint64_t seq, const std::string& payload) EXCLUDES(mu_);
 
   /// The body of a disk snapshot (state + `# seq N` watermark line, no
@@ -206,7 +211,6 @@ class DurableRecommenderStore {
   Status JournalAndMark(const std::string& payload) REQUIRES(mu_);  // assigns seq, appends
   Status SnapshotLocked() REQUIRES(mu_);
   Status MaybeSnapshotLocked() REQUIRES(mu_);  // interval-triggered, best-effort
-  Status ApplyPayload(const std::string& payload) REQUIRES(mu_);  // replay dispatcher
   /// Rebuilds and publishes the serving view after any recommender mutation.
   void PublishViewLocked() REQUIRES(mu_);
 

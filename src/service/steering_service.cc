@@ -34,28 +34,14 @@ std::string ServiceStatusSnapshot::ToString() const {
       << "service_time_ewma_s: " << service_time_ewma_s << '\n'
       << "store: applied_seq=" << applied_seq << " wal_lag=" << wal_lag
       << " snapshots=" << snapshots_taken << '\n'
-      << "recovery: snapshot=" << (recovered_snapshot ? "loaded" : "none")
-      << " snapshot_seq=" << recovery_snapshot_seq
-      << " wal_replayed=" << recovery_wal_replayed
-      << " wal_skipped=" << recovery_wal_skipped
-      << " wal_truncated_bytes=" << recovery_wal_truncated_bytes << '\n'
+      << "recovery: " << recovery.ToString() << '\n'
       << "recommender: groups=" << groups << " serving=" << serving
       << " open=" << open_breakers << " retired=" << retired
       << " pending_validation=" << pending_validation << '\n'
       << "reanalysis: completed=" << reanalyses_completed
       << " abandoned=" << reanalyses_abandoned << '\n'
-      << "compile_cache: hits=" << cache_hits << " misses=" << cache_misses
-      << " evictions=" << cache_evictions << " entries=" << cache_entries
-      << " bytes=" << cache_bytes << " warm_loaded=" << cache_warm_loaded
-      << " warm_rejected=" << cache_warm_rejected
-      << " span_pruned=" << span_duplicates_pruned << '\n'
-      << "budget: scored=" << candidates_scored << " compiled=" << candidates_compiled
-      << " skipped=" << budget_skipped << " improvements=" << improvements_found
-      << " improvements_per_compile="
-      << (candidates_compiled > 0
-              ? static_cast<double>(improvements_found) / static_cast<double>(candidates_compiled)
-              : 0.0)
-      << " ranker_examples=" << ranker_examples_trained << '\n'
+      << "compile_cache: " << cache.ToString() << '\n'
+      << "budget: " << budget.ToString() << '\n'
       << "recommend_serves: snapshot=" << rec_snapshot_serves
       << " locked=" << rec_locked_serves << '\n';
   return out.str();
@@ -89,7 +75,7 @@ Status SteeringService::Start() {
   if (!options_.warm_cache_file.empty()) {
     // Never fatal: a rejected warm file (corrupt, torn, wrong version or
     // day) leaves the cache cold, and cold compiles are always correct.
-    // The rejection is visible as cache_warm_rejected in the snapshot.
+    // The rejection is visible as cache.warm_rejected in the snapshot.
     // qsteer-lint: allow(unchecked-status) rejected warm files leave the cache cold, which is always correct
     (void)pipeline_.WarmCompileCache(options_.warm_cache_file, options_.warm_cache_day);
   }
@@ -363,32 +349,14 @@ ServiceStatusSnapshot SteeringService::status() const {
   snapshot.applied_seq = store_.applied_seq();
   snapshot.wal_lag = store_.wal_lag();
   snapshot.snapshots_taken = store_.snapshots_taken();
-  DurableRecommenderStore::RecoveryInfo recovery = store_.recovery();
-  snapshot.recovered_snapshot = recovery.loaded_snapshot;
-  snapshot.recovery_snapshot_seq = recovery.snapshot_seq;
-  snapshot.recovery_wal_replayed = recovery.wal_records_replayed;
-  snapshot.recovery_wal_skipped = recovery.wal_records_skipped;
-  snapshot.recovery_wal_truncated_bytes = recovery.wal_truncated_bytes;
+  snapshot.recovery = store_.recovery();
   snapshot.groups = store_.num_groups();
   snapshot.serving = store_.num_serving();
   snapshot.open_breakers = store_.num_open();
   snapshot.retired = store_.num_retired();
   snapshot.pending_validation = store_.num_pending_validation();
-  CompileCacheStats cache_stats = pipeline_.compile_cache_stats();
-  snapshot.cache_hits = cache_stats.hits;
-  snapshot.cache_misses = cache_stats.misses;
-  snapshot.cache_evictions = cache_stats.evictions;
-  snapshot.cache_entries = cache_stats.entries;
-  snapshot.cache_bytes = cache_stats.bytes;
-  snapshot.cache_warm_loaded = cache_stats.warm_loaded;
-  snapshot.cache_warm_rejected = cache_stats.warm_rejected;
-  snapshot.span_duplicates_pruned = pipeline_.span_duplicates_pruned();
-  SteeringPipeline::BudgetStats budget = pipeline_.budget_stats();
-  snapshot.candidates_scored = budget.candidates_scored;
-  snapshot.candidates_compiled = budget.candidates_compiled;
-  snapshot.budget_skipped = budget.budget_skipped;
-  snapshot.improvements_found = budget.improvements_found;
-  snapshot.ranker_examples_trained = budget.ranker_examples_trained;
+  snapshot.cache = pipeline_.compile_cache_stats();
+  snapshot.budget = pipeline_.budget_stats();
   snapshot.rec_snapshot_serves = store_.fast_recommends();
   snapshot.rec_locked_serves = store_.locked_recommends();
   {

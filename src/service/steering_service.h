@@ -114,8 +114,12 @@ struct ServiceReply {
   double wait_estimate_s = 0.0;
 };
 
-/// Health-endpoint-style status snapshot (internally consistent; fields are
-/// read under the service lock at one instant).
+/// Health-endpoint-style status snapshot. Only the service's own flags and
+/// request counters (running, draining, accepted through
+/// service_time_ewma_s) are read together under the service lock; the
+/// queue, the store, the pipeline and the re-analysis worker are each read
+/// afterwards from their owner, so two parts can be a few events apart.
+/// Counter sets that have an owner struct are embedded whole.
 struct ServiceStatusSnapshot {
   bool running = false;
   bool draining = false;
@@ -132,14 +136,8 @@ struct ServiceStatusSnapshot {
   uint64_t applied_seq = 0;
   int64_t wal_lag = 0;
   int64_t snapshots_taken = 0;
-  // Last recovery (what Start() found on disk): did a snapshot load, at
-  // which watermark, how much WAL replayed/skipped, and how many torn
-  // bytes were truncated. Zeroes for a fresh or ephemeral store.
-  bool recovered_snapshot = false;
-  uint64_t recovery_snapshot_seq = 0;
-  int64_t recovery_wal_replayed = 0;
-  int64_t recovery_wal_skipped = 0;
-  int64_t recovery_wal_truncated_bytes = 0;
+  /// What Start() found on disk (zeroes for a fresh or ephemeral store).
+  DurableRecommenderStore::RecoveryInfo recovery;
   // Recommender health.
   int groups = 0;
   int serving = 0;
@@ -149,26 +147,11 @@ struct ServiceStatusSnapshot {
   // Re-analysis worker.
   int64_t reanalyses_completed = 0;
   int64_t reanalyses_abandoned = 0;
-  // Compile-cache health (the serving path compiles through the pipeline's
-  // cache, so recurring requests skip recompilation).
-  int64_t cache_hits = 0;
-  int64_t cache_misses = 0;
-  int64_t cache_evictions = 0;
-  int64_t cache_entries = 0;
-  int64_t cache_bytes = 0;
-  /// Warm-start health: entries pre-loaded from the persisted cache file at
-  /// Start(), and rejected warm-load attempts (degraded to cold compiles).
-  int64_t cache_warm_loaded = 0;
-  int64_t cache_warm_rejected = 0;
-  int64_t span_duplicates_pruned = 0;
-  // Budgeted candidate generation (SteeringPipeline::budget_stats()):
-  // candidates scored by the ranker, actually compiled, skipped for
-  // budget, improvements observed, and ranker training volume.
-  int64_t candidates_scored = 0;
-  int64_t candidates_compiled = 0;
-  int64_t budget_skipped = 0;
-  int64_t improvements_found = 0;
-  int64_t ranker_examples_trained = 0;
+  /// The pipeline's compile cache, which the serving path compiles through;
+  /// warm_loaded/warm_rejected report the Start() warm load.
+  CompileCacheStats cache;
+  /// Candidate generation of the re-analysis worker's analyses.
+  SteeringPipeline::BudgetStats budget;
   // Recommendation-table serving split: snapshot (lock-free) vs locked.
   int64_t rec_snapshot_serves = 0;
   int64_t rec_locked_serves = 0;

@@ -493,9 +493,10 @@ TEST_F(CompileCachePipelineTest, RecurringInstancesAcrossDaysMissButSameDayHits)
 TEST_F(CompileCachePipelineTest, SpanPrunedCounterAccumulates) {
   SteeringPipeline pipeline(&optimizer_, &simulator_, Options(/*cache_mb=*/64, /*threads=*/0));
   JobAnalysis analysis = pipeline.Recompile(workload_.MakeJob(0, 1));
-  EXPECT_EQ(pipeline.span_duplicates_pruned(), analysis.span_duplicates_pruned);
+  EXPECT_EQ(pipeline.budget_stats().span_duplicates_pruned,
+            analysis.span_duplicates_pruned);
   JobAnalysis analysis2 = pipeline.Recompile(workload_.MakeJob(1, 1));
-  EXPECT_EQ(pipeline.span_duplicates_pruned(),
+  EXPECT_EQ(pipeline.budget_stats().span_duplicates_pruned,
             analysis.span_duplicates_pruned + analysis2.span_duplicates_pruned);
 }
 

@@ -16,6 +16,7 @@
 
 #include <gtest/gtest.h>
 
+#include "common/file_io.h"
 #include "discovery/manifest.h"
 #include "workload/generator.h"
 
@@ -430,6 +431,12 @@ TEST_F(DiscoveryTest, SummaryAndMergedFilesAreChecksummedOnDisk) {
     ASSERT_FALSE(raw.empty()) << name;
     EXPECT_NE(raw.find("# crc32 "), std::string::npos) << name << " lacks a footer";
   }
+  Result<std::string> summary =
+      ReadArtifact(dir.File("discovery_summary.txt"), kDiscoverySummaryHeader);
+  ASSERT_TRUE(summary.ok()) << summary.status().ToString();
+  EXPECT_NE(summary.value().find("budget: " + result.counters.budget.ToString() + "\n"),
+            std::string::npos)
+      << summary.value();
 }
 
 }  // namespace

@@ -332,6 +332,35 @@ TEST(FleetTest, TailEntryWithMalformedSeqIsRejectedNotSkipped) {
   }
 }
 
+TEST(FleetTest, TailEntryWithMalformedPayloadIsRejectedBeforeJournaling) {
+  // A TAIL entry with the next seq but a payload that does not parse must
+  // change nothing. Journaled first, it would advance the watermark and sit
+  // in the WAL as a record that recovery cannot replay: Reopen would fail.
+  TempDir dir;
+  DurableStoreOptions store_options;
+  store_options.dir = dir.path();
+  store_options.sync = false;
+  ReplicaNode node(/*id=*/1, store_options);
+  ASSERT_TRUE(node.Open().ok());
+  node.store()->LearnCandidate(Candidate(1, 0, -10.0));
+  const uint64_t applied = node.store()->applied_seq();
+  const std::string state = node.store()->SerializeState();
+  ASSERT_EQ(applied, 1u);
+  const std::string sig = Sig(1).ToHexString();
+  for (const std::string& payload : {"Z " + sig + " 1", "V " + sig + " abc",
+                                     "L " + sig + " -5 BOGUS(", "O " + sig,
+                                     std::string("V xyz 1")}) {
+    const std::string frame =
+        "TAIL 0 1\n" + std::to_string(applied + 1) + " " + payload + "\n";
+    EXPECT_FALSE(node.Deliver(frame).ok()) << payload;
+    EXPECT_EQ(node.store()->applied_seq(), applied) << payload;
+    EXPECT_EQ(node.store()->SerializeState(), state) << payload;
+    ASSERT_TRUE(node.Reopen().ok()) << payload;
+    EXPECT_EQ(node.store()->applied_seq(), applied) << payload;
+    EXPECT_EQ(node.store()->SerializeState(), state) << payload;
+  }
+}
+
 TEST(FleetTest, EphemeralFleetRestartInstallsSnapshot) {
   // Without a durable dir a restarted replica recovers nothing from disk:
   // catch-up must fall back to a snapshot install (watermark 0 is outside

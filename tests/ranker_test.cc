@@ -377,6 +377,12 @@ TEST(PipelineRanking, BudgetCountersAndStatsAreConsistent) {
   EXPECT_EQ(stats.candidates_compiled, compiled);
   EXPECT_EQ(stats.budget_skipped, skipped);
   EXPECT_GT(stats.ranker_examples_trained, 0);
+
+  // The one rendering every report prints.
+  SteeringPipeline::BudgetStats filled{40, 10, 30, 3, 12, 7};
+  EXPECT_EQ(filled.ToString(),
+            "scored=40 compiled=10 skipped=30 improvements=3 "
+            "improvements_per_compile=0.3 ranker_examples=12 span_pruned=7");
 }
 
 TEST(PipelineRanking, RankerPersistenceEndpointsRequireRanking) {
@@ -448,8 +454,8 @@ TEST(DiscoveryRanking, ShardedRankerBytesMatchUnsharded) {
         << "workers=" << workers;
     EXPECT_EQ(run.value().ranker_bytes, reference.value().ranker_bytes)
         << "workers=" << workers;
-    EXPECT_GT(run.value().counters.candidates_compiled, 0);
-    EXPECT_GT(run.value().counters.budget_skipped, 0);
+    EXPECT_GT(run.value().counters.budget.candidates_compiled, 0);
+    EXPECT_GT(run.value().counters.budget.budget_skipped, 0);
     EXPECT_EQ(run.value().counters.ranker_warm_loaded, 0);
   }
 }

@@ -414,8 +414,8 @@ TEST(SteeringServiceTest, WarmCacheFileWarmsAtStartAndDegradesColdOnDamage) {
     SteeringService service(&fx.optimizer, &fx.simulator, options);
     ASSERT_TRUE(service.Start().ok());
     ServiceStatusSnapshot status = service.status();
-    EXPECT_GT(status.cache_warm_loaded, 0);
-    EXPECT_EQ(status.cache_warm_rejected, 0);
+    EXPECT_GT(status.cache.warm_loaded, 0);
+    EXPECT_EQ(status.cache.warm_rejected, 0);
     EXPECT_NE(status.ToString().find("warm_loaded"), std::string::npos);
     ASSERT_TRUE(service.Shutdown().ok());
   }
@@ -431,8 +431,8 @@ TEST(SteeringServiceTest, WarmCacheFileWarmsAtStartAndDegradesColdOnDamage) {
     SteeringService service(&fx.optimizer, &fx.simulator, options);
     ASSERT_TRUE(service.Start().ok()) << "a damaged warm file must not block startup";
     ServiceStatusSnapshot status = service.status();
-    EXPECT_EQ(status.cache_warm_loaded, 0);
-    EXPECT_EQ(status.cache_warm_rejected, 1);
+    EXPECT_EQ(status.cache.warm_loaded, 0);
+    EXPECT_EQ(status.cache.warm_rejected, 1);
     ASSERT_TRUE(service.Shutdown().ok());
   }
 }
@@ -572,7 +572,19 @@ TEST(SteeringServiceTest, ServesRequestsAndShutsDownCleanly) {
     EXPECT_EQ(status.queue_depth, 0);
     EXPECT_EQ(status.wal_lag, 0) << "clean shutdown must leave no WAL replay debt";
     final_state = service.store().SerializeState();
-    EXPECT_FALSE(status.ToString().empty());
+    // Each counter set is embedded whole from its owner and rendered once.
+    const std::string cache = service.pipeline().compile_cache_stats().ToString();
+    const std::string budget = service.pipeline().budget_stats().ToString();
+    const std::string recovery = service.store().recovery().ToString();
+    EXPECT_EQ(status.cache.ToString(), cache);
+    EXPECT_EQ(status.budget.ToString(), budget);
+    EXPECT_EQ(status.recovery.ToString(), recovery);
+    const std::string text = status.ToString();
+    for (const std::string& part : {cache, budget, recovery}) {
+      size_t at = text.find(part);
+      ASSERT_NE(at, std::string::npos) << part;
+      EXPECT_EQ(text.find(part, at + 1), std::string::npos) << part;
+    }
   }
   // Every acknowledged mutation survives the restart.
   DurableRecommenderStore reopened([&] {

@@ -507,6 +507,10 @@ TEST(DurableStoreInstallTest, InstallReplacesStateAndSurvivesReopen) {
   EXPECT_EQ(reopened.SerializeState(), expected);
   EXPECT_EQ(reopened.applied_seq(), leader_seq);
   EXPECT_EQ(reopened.recovery().wal_records_replayed, 0);
+  // The one rendering the service status and the CLI print.
+  EXPECT_EQ((DurableRecommenderStore::RecoveryInfo{true, 82, 3, 1, 17}.ToString()),
+            "snapshot=loaded snapshot_seq=82 wal_replayed=3 wal_skipped=1 "
+            "wal_truncated_bytes=17");
 }
 
 TEST(DurableStoreInstallTest, CrashInInstallWindowNeverYieldsMixedState) {

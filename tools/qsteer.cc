@@ -164,6 +164,17 @@ bool ParsePositional(const char* label, const char* arg, int min_value, int max_
   return false;
 }
 
+/// Stores the value of a `--flag=PATH` argument in *out. An empty PATH is
+/// an error: it would otherwise read as "flag not given".
+bool ParsePathFlag(const char* command, const char* arg, std::string* out) {
+  const char* eq = std::strchr(arg, '=');
+  *out = eq + 1;
+  if (!out->empty()) return true;
+  std::fprintf(stderr, "qsteer %s: %.*s requires a value\n", command,
+               static_cast<int>(eq - arg), arg);
+  return false;
+}
+
 WorkloadSpec SpecFor(const std::string& which) {
   double scale = 0.005;
   if (const char* env = std::getenv("QSTEER_SCALE")) {
@@ -272,17 +283,9 @@ int CmdAnalyze(int argc, char** argv) {
   bool rank_candidates = false;
   for (int i = 0; i < argc; ++i) {
     if (std::strncmp(argv[i], "--wal-dir=", 10) == 0) {
-      wal_dir = argv[i] + 10;
-      if (wal_dir.empty()) {
-        std::fprintf(stderr, "qsteer analyze: --wal-dir requires a value\n");
-        return 2;
-      }
+      if (!ParsePathFlag("analyze", argv[i], &wal_dir)) return 2;
     } else if (std::strncmp(argv[i], "--discovery-dir=", 16) == 0) {
-      discovery_dir = argv[i] + 16;
-      if (discovery_dir.empty()) {
-        std::fprintf(stderr, "qsteer analyze: --discovery-dir requires a value\n");
-        return 2;
-      }
+      if (!ParsePathFlag("analyze", argv[i], &discovery_dir)) return 2;
     } else if (std::strncmp(argv[i], "--compile-budget=", 17) == 0) {
       if (!ParseIntArg(argv[i] + 17, 0, 1 << 30, &compile_budget)) {
         std::fprintf(stderr, "qsteer analyze: bad --compile-budget '%s'\n", argv[i] + 17);
@@ -291,7 +294,7 @@ int CmdAnalyze(int argc, char** argv) {
     } else if (std::strcmp(argv[i], "--rank-candidates") == 0) {
       rank_candidates = true;
     } else if (std::strncmp(argv[i], "--ranker-in=", 12) == 0) {
-      ranker_in = argv[i] + 12;
+      if (!ParsePathFlag("analyze", argv[i], &ranker_in)) return 2;
     } else if (std::strncmp(argv[i], "--", 2) == 0) {
       std::fprintf(stderr, "qsteer analyze: unknown flag '%s'\n", argv[i]);
       return 2;
@@ -362,14 +365,7 @@ int CmdAnalyze(int argc, char** argv) {
               pipeline.compile_cache_stats().ToString().c_str(),
               analysis.span_duplicates_pruned);
   if (rank_candidates || compile_budget > 0) {
-    SteeringPipeline::BudgetStats budget = pipeline.budget_stats();
-    std::printf("  budget: scored=%lld compiled=%lld skipped=%lld improvements=%lld "
-                "improvements/compile=%.4f\n",
-                static_cast<long long>(budget.candidates_scored),
-                static_cast<long long>(budget.candidates_compiled),
-                static_cast<long long>(budget.budget_skipped),
-                static_cast<long long>(budget.improvements_found),
-                budget.ImprovementsPerCompile());
+    std::printf("  budget: %s\n", pipeline.budget_stats().ToString().c_str());
   }
   // How wrong the optimizer's beliefs were for this job: per-node
   // estimate-vs-truth cardinality q-error over the default plan, under the
@@ -413,14 +409,8 @@ int CmdAnalyze(int argc, char** argv) {
                    status.ToString().c_str());
       return 1;
     }
-    DurableRecommenderStore::RecoveryInfo recovery = store.recovery();
-    std::printf("  durable store %s: snapshot %s (seq %llu), %lld WAL events replayed, "
-                "%lld skipped, %lld torn bytes truncated; %d groups\n",
-                wal_dir.c_str(), recovery.loaded_snapshot ? "loaded" : "absent",
-                static_cast<unsigned long long>(recovery.snapshot_seq),
-                static_cast<long long>(recovery.wal_records_replayed),
-                static_cast<long long>(recovery.wal_records_skipped),
-                static_cast<long long>(recovery.wal_truncated_bytes), store.num_groups());
+    std::printf("  durable store %s: %s; %d groups\n", wal_dir.c_str(),
+                store.recovery().ToString().c_str(), store.num_groups());
     bool learned = store.LearnFromAnalysis(analysis);
     SteeringRecommender::Recommendation recommendation =
         store.Recommend(analysis.default_plan.signature);
@@ -632,23 +622,16 @@ int CmdServe(int argc, char** argv) {
     return 1;
   }
   if (service.store().durable()) {
-    const DurableRecommenderStore::RecoveryInfo& recovery = service.store().recovery();
-    std::printf("durable store %s: snapshot %s (seq %llu), %lld WAL events replayed, "
-                "%lld skipped, %lld torn bytes truncated; %d groups recovered\n",
-                flags.wal_dir.c_str(), recovery.loaded_snapshot ? "loaded" : "absent",
-                static_cast<unsigned long long>(recovery.snapshot_seq),
-                static_cast<long long>(recovery.wal_records_replayed),
-                static_cast<long long>(recovery.wal_records_skipped),
-                static_cast<long long>(recovery.wal_truncated_bytes),
+    std::printf("durable store %s: %s; %d groups recovered\n", flags.wal_dir.c_str(),
+                service.store().recovery().ToString().c_str(),
                 service.store().num_groups());
   }
   if (!flags.warm_cache_file.empty()) {
-    ServiceStatusSnapshot warm_snapshot = service.status();
+    CompileCacheStats cache = service.status().cache;
     std::printf("compile cache warm start %s: %lld entries loaded, %lld rejected%s\n",
-                flags.warm_cache_file.c_str(),
-                static_cast<long long>(warm_snapshot.cache_warm_loaded),
-                static_cast<long long>(warm_snapshot.cache_warm_rejected),
-                warm_snapshot.cache_warm_loaded == 0 ? " (cold start)" : "");
+                flags.warm_cache_file.c_str(), static_cast<long long>(cache.warm_loaded),
+                static_cast<long long>(cache.warm_rejected),
+                cache.warm_loaded == 0 ? " (cold start)" : "");
   }
 
   // Day 1 offline: learn candidates (journaled through the durable store)
@@ -734,7 +717,7 @@ int CmdServe(int argc, char** argv) {
     std::fprintf(stderr, "qsteer serve: final snapshot failed: %s\n",
                  stopped.ToString().c_str());
   }
-  std::printf("%s%s\n", service.status().ToString().c_str(),
+  std::printf("%soffline pipeline failures: %s\n", service.status().ToString().c_str(),
               pipeline.failure_stats().ToString().c_str());
   return 0;
 }
@@ -837,14 +820,7 @@ int CmdServeFleet(int argc, char** argv) {
   for (int i = 0; i < fleet.num_replicas(); ++i) {
     std::shared_ptr<DurableRecommenderStore> store =
         fleet.replica_store(static_cast<uint32_t>(i));
-    DurableRecommenderStore::RecoveryInfo recovery = store->recovery();
-    std::printf("replica %d: snapshot %s (seq %llu), %lld WAL events replayed, "
-                "%lld skipped, %lld torn bytes truncated\n",
-                i, recovery.loaded_snapshot ? "loaded" : "absent",
-                static_cast<unsigned long long>(recovery.snapshot_seq),
-                static_cast<long long>(recovery.wal_records_replayed),
-                static_cast<long long>(recovery.wal_records_skipped),
-                static_cast<long long>(recovery.wal_truncated_bytes));
+    std::printf("replica %d: %s\n", i, store->recovery().ToString().c_str());
   }
 
   // Day 1 offline: analyze on this process, learn through the leader (the
@@ -946,11 +922,7 @@ int CmdDiscoverSharded(int argc, char** argv) {
   bool verify_unsharded = false;
   for (int i = 0; i < argc; ++i) {
     if (std::strncmp(argv[i], "--dir=", 6) == 0) {
-      options.dir = argv[i] + 6;
-      if (options.dir.empty()) {
-        std::fprintf(stderr, "qsteer discover-sharded: --dir requires a value\n");
-        return 2;
-      }
+      if (!ParsePathFlag("discover-sharded", argv[i], &options.dir)) return 2;
     } else if (std::strncmp(argv[i], "--shards=", 9) == 0) {
       if (!ParseIntArg(argv[i] + 9, 1, 4096, &options.num_shards)) {
         std::fprintf(stderr, "qsteer discover-sharded: bad --shards '%s'\n", argv[i] + 9);
@@ -984,9 +956,9 @@ int CmdDiscoverSharded(int argc, char** argv) {
     } else if (std::strcmp(argv[i], "--resume") == 0) {
       options.resume = true;
     } else if (std::strncmp(argv[i], "--cache-in=", 11) == 0) {
-      options.warm_cache_file = argv[i] + 11;
+      if (!ParsePathFlag("discover-sharded", argv[i], &options.warm_cache_file)) return 2;
     } else if (std::strncmp(argv[i], "--cache-out=", 12) == 0) {
-      options.save_cache_file = argv[i] + 12;
+      if (!ParsePathFlag("discover-sharded", argv[i], &options.save_cache_file)) return 2;
     } else if (std::strncmp(argv[i], "--compile-budget=", 17) == 0) {
       int budget = 0;
       if (!ParseIntArg(argv[i] + 17, 0, 1 << 30, &budget)) {
@@ -998,9 +970,9 @@ int CmdDiscoverSharded(int argc, char** argv) {
     } else if (std::strcmp(argv[i], "--rank-candidates") == 0) {
       options.pipeline.rank_candidates = true;
     } else if (std::strncmp(argv[i], "--ranker-in=", 12) == 0) {
-      options.ranker_in = argv[i] + 12;
+      if (!ParsePathFlag("discover-sharded", argv[i], &options.ranker_in)) return 2;
     } else if (std::strncmp(argv[i], "--ranker-out=", 13) == 0) {
-      options.ranker_out = argv[i] + 13;
+      if (!ParsePathFlag("discover-sharded", argv[i], &options.ranker_out)) return 2;
     } else if (std::strcmp(argv[i], "--verify-unsharded") == 0) {
       verify_unsharded = true;
     } else if (std::strncmp(argv[i], "--", 2) == 0) {
