@@ -1,8 +1,9 @@
 // SmallVector: a vector with inline storage for the first N elements.
 //
-// The memo's GroupExpr child lists are the hottest allocation site of a
-// compile — almost every operator has <= 4 inputs, so keeping them inline
-// removes one heap round-trip per memo expression (and per dedup probe).
+// The memo's GroupExpr child lists and the property search's partitioning
+// and sort keys are the hottest allocation sites of a compile — almost every
+// operator has <= 4 inputs and keys, so keeping them inline removes a heap
+// round-trip per memo expression, dedup probe and costed option.
 // Only trivially copyable element types are supported; that keeps copies,
 // moves and destruction branch-free memcpy-style loops.
 #ifndef QSTEER_COMMON_SMALL_VECTOR_H_
@@ -99,8 +100,10 @@ class SmallVector {
   }
 
   void push_back(const T& value) {
+    // Copy first: `value` may live in the buffer Grow frees.
+    const T copy = value;
     if (size_ == capacity_) Grow(capacity_ * 2);
-    data()[size_++] = value;
+    data()[size_++] = copy;
   }
 
   bool operator==(const SmallVector& other) const {

@@ -1,5 +1,7 @@
 #include "optimizer/memo.h"
 
+#include <algorithm>
+
 #include "common/hash.h"
 
 namespace qsteer {
@@ -18,7 +20,7 @@ GroupId Memo::Insert(const PlanNodePtr& root) {
     // low hundreds of expressions.
     exprs_.reserve(256);
     groups_.reserve(160);
-    dedup_.reserve(512);
+    if (dedup_.empty()) GrowDedup(1024);
   }
   std::unordered_map<const PlanNode*, GroupId> visited;
   visited.reserve(64);
@@ -45,14 +47,16 @@ ExprId Memo::AddExpr(Operator op, ChildVec children, GroupId target_group, int r
                      ExprId source_expr, uint64_t op_hash) {
   if (op_hash == kNoOpHash) op_hash = op.Hash(/*for_template=*/false);
   uint64_t key = ExprKey(op_hash, children);
-  auto it = dedup_.find(key);
-  if (it != dedup_.end()) {
+  DedupSlot& slot = DedupSlotFor(key);
+  if (slot.id != kInvalidExpr) {
     // Verify it's a true duplicate, not a hash collision. The stored op_hash
     // makes this probe allocation- and rehash-free.
-    const GroupExpr& existing = exprs_[static_cast<size_t>(it->second)];
+    const GroupExpr& existing = exprs_[static_cast<size_t>(slot.id)];
     if (existing.op_hash == op_hash && existing.children == children) {
-      return it->second;
+      return slot.id;
     }
+  } else {
+    ++dedup_used_;
   }
 
   GroupExpr expr;
@@ -82,8 +86,30 @@ ExprId Memo::AddExpr(Operator op, ChildVec children, GroupId target_group, int r
   if (grp.representative == kInvalidExpr && exprs_.back().is_logical) {
     grp.representative = id;
   }
-  dedup_[key] = id;
+  slot.key = key;
+  slot.id = id;
   return id;
+}
+
+Memo::DedupSlot& Memo::DedupSlotFor(uint64_t key) {
+  if (2 * (dedup_used_ + 1) > dedup_.size()) GrowDedup(std::max<size_t>(16, 2 * dedup_.size()));
+  const size_t mask = dedup_.size() - 1;
+  for (size_t i = key & mask;; i = (i + 1) & mask) {
+    DedupSlot& slot = dedup_[i];
+    if (slot.id == kInvalidExpr || slot.key == key) return slot;
+  }
+}
+
+void Memo::GrowDedup(size_t capacity) {
+  std::vector<DedupSlot> old = std::move(dedup_);
+  dedup_.assign(capacity, DedupSlot{});
+  const size_t mask = capacity - 1;
+  for (const DedupSlot& entry : old) {
+    if (entry.id == kInvalidExpr) continue;
+    size_t i = entry.key & mask;
+    while (dedup_[i].id != kInvalidExpr) i = (i + 1) & mask;
+    dedup_[i] = entry;
+  }
 }
 
 void Memo::CollectProvenance(ExprId id, std::vector<int>* rule_ids) const {
@@ -99,6 +125,7 @@ Memo Memo::Clone() const {
   copy.groups_ = groups_;
   copy.exprs_ = exprs_;
   copy.dedup_ = dedup_;
+  copy.dedup_used_ = dedup_used_;
   return copy;
 }
 

@@ -48,7 +48,21 @@ struct GroupExpr {
   bool is_logical = true;
 };
 
-/// Best implementation found for a (group, required property) pair.
+/// An enforcer a winner places on top of its expression: an Exchange of
+/// kind `exchange` (with `keys` when it repartitions) or a Sort on `keys`,
+/// at `dop`. ExtractPlan turns it into the Operator.
+struct Enforcer {
+  bool present = false;
+  ExchangeKind exchange = ExchangeKind::kRepartition;
+  int dop = 1;
+  PropKeys keys;
+};
+
+/// Best implementation found for a (group, required property) pair. The
+/// optimizer keeps its winners in one per-compile table (CompileState), not
+/// in the memo, and refers to them by index: the table grows while the
+/// search recurses, so a reference into it does not survive a nested
+/// OptimizeGroup call.
 struct Winner {
   ExprId expr = kInvalidExpr;
   double cost = 0.0;
@@ -58,11 +72,16 @@ struct Winner {
   std::vector<PhysProp> child_requests;
   /// Property the winning expression itself delivers (before enforcers).
   PhysProp delivered;
-  /// Enforcer operators applied on top (bottom-up order), if any.
-  std::vector<Operator> enforcers;
+  /// Enforcers on top of the expression, bottom-up: an exchange, then a sort.
+  Enforcer exchange;
+  Enforcer sort;
   bool valid = false;
 };
 
+/// A set of equivalent expressions. It holds no search state: the
+/// optimizer's winners and derived statistics live in per-compile tables
+/// indexed by GroupId, which the memo never sees. No expression or group is
+/// added once implementation returns, so those tables are sized once.
 struct Group {
   std::vector<ExprId> exprs;
   /// Sorted output column ids.
@@ -71,15 +90,6 @@ struct Group {
   /// group ever contained. Statistics are derived from it, which makes
   /// estimates shape-sensitive across rule configurations (paper §5.3).
   ExprId representative = kInvalidExpr;
-
-  // Lazily derived logical statistics (estimated by the optimizer).
-  bool stats_derived = false;
-  double est_rows = 0.0;
-  double est_width = 8.0;
-  std::unordered_map<ColumnId, double> est_ndv;
-
-  // Winner table keyed by PhysProp::Key().
-  std::unordered_map<uint64_t, Winner> winners;
 };
 
 class Memo {
@@ -122,13 +132,27 @@ class Memo {
   Memo Clone() const;
 
  private:
+  /// One slot of the dedup table; `id == kInvalidExpr` marks it empty.
+  struct DedupSlot {
+    uint64_t key = 0;
+    ExprId id = kInvalidExpr;
+  };
+
   static uint64_t ExprKey(uint64_t op_hash, const ChildVec& children);
   GroupId InsertNode(const PlanNode* node,
                      std::unordered_map<const PlanNode*, GroupId>* visited);
+  /// The slot holding `key`, or the empty slot where it belongs. Grows the
+  /// table first, so the caller may claim an empty slot.
+  DedupSlot& DedupSlotFor(uint64_t key);
+  void GrowDedup(size_t capacity);
 
   std::vector<Group> groups_;
   std::vector<GroupExpr> exprs_;
-  std::unordered_map<uint64_t, ExprId> dedup_;
+  /// Open-addressing {ExprKey, ExprId} table, power-of-two sized, linear
+  /// probing, at most half full. A key added again (a hash collision
+  /// between distinct expressions) keeps the latest id.
+  std::vector<DedupSlot> dedup_;
+  size_t dedup_used_ = 0;
 };
 
 }  // namespace qsteer

@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <chrono>
 #include <cmath>
+#include <deque>
 #include <unordered_map>
 
 #include "common/hash.h"
@@ -13,10 +14,11 @@ namespace {
 
 /// Per-compilation state (the "optimize context" of the threading model,
 /// DESIGN.md "Threading model"): every mutable structure a compilation
-/// touches — memo, derived statistics, extraction caches, the rule-
-/// provenance log, and the column-universe overlay — lives here, on the
-/// calling thread's stack. Concurrent Optimizer::Compile calls on one
-/// `const Optimizer` therefore never share mutable state.
+/// touches — memo, derived statistics, the winner table and search
+/// scratch, extraction caches, the rule-provenance log, and the
+/// column-universe overlay — lives here, on the calling thread's stack.
+/// Concurrent Optimizer::Compile calls on one `const Optimizer` therefore
+/// never share mutable state.
 class CompileState {
  public:
   CompileState(const Optimizer& optimizer, const Job& job, const RuleConfig& config,
@@ -30,6 +32,8 @@ class CompileState {
         est_view_(optimizer.catalog(), &universe_, job.day) {
     ctx_.memo = &memo_;
     ctx_.universe = &universe_;
+    exchange_op_.kind = OpKind::kExchange;
+    sort_op_.kind = OpKind::kSort;
     if (control_.timeout_s > 0.0) {
       // qsteer-lint: allow(wall-clock) compile deadline; CompileControl documents timeouts as nondeterministic
       deadline_ = std::chrono::steady_clock::now() +
@@ -42,20 +46,23 @@ class CompileState {
     GroupId root = SeedMemo(job);
     Explore();
     Implement();
+    // The memo is final from here on: size the per-group search state once.
+    group_state_.resize(static_cast<size_t>(memo_.num_groups()));
+    winners_.reserve(static_cast<size_t>(memo_.num_groups()));
     PhysProp any = PhysProp::Any();
-    const Winner* winner = OptimizeGroup(root, any);
+    const int winner = OptimizeGroup(root, any);
     if (aborted_) {
       return Status::DeadlineExceeded(control_.cancel != nullptr &&
                                               control_.cancel->cancelled()
                                           ? "compilation cancelled"
                                           : "compile deadline exceeded");
     }
-    if (winner == nullptr || !winner->valid) {
+    if (!Feasible(winner)) {
       return Status::CompilationFailed(
           "no complete physical plan under this rule configuration");
     }
     CompiledPlan plan;
-    plan.est_cost = winner->cost;
+    plan.est_cost = WinnerAt(winner).cost;
     plan.root = ExtractPlan(root, any, &plan.signature);
     for (int rule_id : normalization_rules_used_) plan.signature.Set(rule_id);
     AttributeMarkerRules(plan.root, &plan.signature);
@@ -448,22 +455,22 @@ class CompileState {
   // ---------------------------------------------------------------------
 
   const LogicalStats& GroupStats(GroupId gid) {
-    Group& group = memo_.group(gid);
-    auto it = stats_.find(gid);
-    if (it != stats_.end()) return it->second;
-    ExprId repr = group.representative;
-    LogicalStats stats;
+    GroupSearch& state = group_state_[static_cast<size_t>(gid)];
+    if (state.stats_ready) return state.stats;
+    ExprId repr = memo_.group(gid).representative;
     if (repr != kInvalidExpr) {
       const GroupExpr& expr = memo_.expr(repr);
-      std::vector<const LogicalStats*> child_stats;
-      child_stats.reserve(expr.children.size());
-      for (GroupId c : expr.children) child_stats.push_back(&GroupStats(c));
-      stats = DeriveStats(expr.op, child_stats, est_view_);
+      // Children first, so the shared input vector is filled after every
+      // nested derivation has returned.
+      for (GroupId c : expr.children) GroupStats(c);
+      stats_input_.clear();
+      for (GroupId c : expr.children) {
+        stats_input_.push_back(&group_state_[static_cast<size_t>(c)].stats);
+      }
+      state.stats = DeriveStats(expr.op, stats_input_, est_view_);
     }
-    group.est_rows = stats.rows;
-    group.est_width = stats.width;
-    group.stats_derived = true;
-    return stats_.emplace(gid, std::move(stats)).first->second;
+    state.stats_ready = true;
+    return state.stats;
   }
 
   // ---------------------------------------------------------------------
@@ -471,19 +478,20 @@ class CompileState {
   // ---------------------------------------------------------------------
 
   /// DOP candidates for an operator processing ~`bytes` of data.
-  std::vector<int> DopCandidates(double bytes, int required_dop, int natural = 0) const {
+  SmallVector<int, 2> DopCandidates(double bytes, int required_dop) const {
     if (required_dop > 0) return {required_dop};
     int work = static_cast<int>(
         std::clamp(bytes / options_.bytes_per_vertex, 1.0,
                    static_cast<double>(options_.max_dop)));
-    std::vector<int> out = {work};
+    SmallVector<int, 2> out = {work};
     int doubled = std::min(work * 2, options_.max_dop);
     if (doubled != work) out.push_back(doubled);
-    if (natural > 0 && natural != work && natural != doubled &&
-        natural <= options_.max_dop) {
-      out.push_back(natural);
-    }
     return out;
+  }
+
+  /// True when an operator's key columns equal a property's, in order.
+  static bool SameKeys(const PropKeys& prop, const std::vector<ColumnId>& keys) {
+    return std::equal(prop.begin(), prop.end(), keys.begin(), keys.end());
   }
 
   /// True when the property request can be delegated through a pipelined
@@ -499,73 +507,74 @@ class CompileState {
   }
 
   /// Adds exchange/sort enforcers so `delivered` satisfies `required`.
-  /// Returns the added cost; appends enforcer operators bottom-up.
+  /// Returns the added cost and records the enforcers placed in `exchange`
+  /// and `sort` (both start absent). Costs them through the reused
+  /// exchange_op_/sort_op_, which differ from a fresh Operator only in the
+  /// fields set here.
   double ApplyEnforcers(const PhysProp& required, const LogicalStats& stats,
-                        PhysProp* delivered, std::vector<Operator>* enforcers) {
+                        PhysProp* delivered, Enforcer* exchange, Enforcer* sort) {
     double extra = 0.0;
+    enforcer_input_[0] = &stats;
     if (!required.SatisfiedBy(*delivered)) {
-      PhysProp target = *delivered;
-      Operator exchange;
-      exchange.kind = OpKind::kExchange;
-      bool need_exchange = false;
       switch (required.scheme) {
         case PartScheme::kHash:
           if (delivered->scheme != PartScheme::kHash ||
               delivered->part_keys != required.part_keys ||
               (required.dop != 0 && delivered->dop != required.dop)) {
-            exchange.exchange = ExchangeKind::kRepartition;
-            exchange.exchange_keys = required.part_keys;
-            exchange.dop = required.dop > 0 ? required.dop : std::max(1, delivered->dop);
-            target.scheme = PartScheme::kHash;
-            target.part_keys = required.part_keys;
-            target.dop = exchange.dop;
-            target.sort_keys.clear();  // repartition destroys order
-            need_exchange = true;
+            exchange->present = true;
+            exchange->exchange = ExchangeKind::kRepartition;
+            exchange->keys = required.part_keys;
+            exchange->dop = required.dop > 0 ? required.dop : std::max(1, delivered->dop);
+            delivered->scheme = PartScheme::kHash;
+            delivered->part_keys = required.part_keys;
+            delivered->dop = exchange->dop;
+            delivered->sort_keys.clear();  // repartition destroys order
           }
           break;
         case PartScheme::kSingleton:
           if (delivered->scheme != PartScheme::kSingleton) {
-            exchange.exchange = ExchangeKind::kGather;
-            exchange.dop = 1;
-            target.scheme = PartScheme::kSingleton;
-            target.part_keys.clear();
-            target.dop = 1;
+            exchange->present = true;
+            exchange->exchange = ExchangeKind::kGather;
+            exchange->dop = 1;
+            delivered->scheme = PartScheme::kSingleton;
+            delivered->part_keys.clear();
+            delivered->dop = 1;
             // Merging gather preserves an existing order.
-            need_exchange = true;
           }
           break;
         case PartScheme::kBroadcast:
           if (delivered->scheme != PartScheme::kBroadcast ||
               (required.dop != 0 && delivered->dop != required.dop)) {
-            exchange.exchange = ExchangeKind::kBroadcast;
-            exchange.dop = required.dop > 0 ? required.dop : std::max(1, delivered->dop);
-            target.scheme = PartScheme::kBroadcast;
-            target.part_keys.clear();
-            target.dop = exchange.dop;
-            need_exchange = true;
+            exchange->present = true;
+            exchange->exchange = ExchangeKind::kBroadcast;
+            exchange->dop = required.dop > 0 ? required.dop : std::max(1, delivered->dop);
+            delivered->scheme = PartScheme::kBroadcast;
+            delivered->part_keys.clear();
+            delivered->dop = exchange->dop;
           }
           break;
         case PartScheme::kAny:
         case PartScheme::kRandom:
           break;
       }
-      if (need_exchange) {
-        OpCost cost = ComputeOpCost(exchange, stats, {&stats}, exchange.dop,
-                                    options_.cost_params, est_view_);
-        extra += cost.latency;
-        enforcers->push_back(std::move(exchange));
-        *delivered = target;
+      if (exchange->present) {
+        exchange_op_.exchange = exchange->exchange;
+        exchange_op_.exchange_keys.assign(exchange->keys.begin(), exchange->keys.end());
+        exchange_op_.dop = exchange->dop;
+        extra += ComputeOpCost(exchange_op_, stats, enforcer_input_, exchange_op_.dop,
+                               options_.cost_params, est_view_)
+                     .latency;
       }
     }
     if (!required.SortSatisfiedBy(*delivered)) {
-      Operator sort;
-      sort.kind = OpKind::kSort;
-      sort.sort_keys = required.sort_keys;
-      sort.dop = std::max(1, delivered->dop);
-      OpCost cost =
-          ComputeOpCost(sort, stats, {&stats}, sort.dop, options_.cost_params, est_view_);
-      extra += cost.latency;
-      enforcers->push_back(std::move(sort));
+      sort->present = true;
+      sort->keys = required.sort_keys;
+      sort->dop = std::max(1, delivered->dop);
+      sort_op_.sort_keys.assign(sort->keys.begin(), sort->keys.end());
+      sort_op_.dop = sort->dop;
+      extra += ComputeOpCost(sort_op_, stats, enforcer_input_, sort_op_.dop,
+                             options_.cost_params, est_view_)
+                   .latency;
       delivered->sort_keys = required.sort_keys;
     }
     return extra;
@@ -581,21 +590,43 @@ class CompileState {
     bool clears_sort = false;
   };
 
+  /// Scratch of one OptimizeGroup call: its options and the child
+  /// statistics of the option being costed. Every call at the same
+  /// recursion depth reuses one frame, and frames_ never moves a frame, so
+  /// a call keeps its frame across nested calls and the options keep their
+  /// child_requests' capacity from one call to the next.
+  struct SearchFrame {
+    std::vector<Option> options;
+    size_t num_options = 0;
+    std::vector<const LogicalStats*> child_stats;
+  };
+
+  /// Appends a default option to the frame, reusing a previous one's storage.
+  static Option& NewOption(SearchFrame* frame) {
+    if (frame->num_options == frame->options.size()) frame->options.emplace_back();
+    Option& o = frame->options[frame->num_options++];
+    o.child_requests.clear();
+    o.delivered = PhysProp::Any();
+    o.dop = 1;
+    o.inherit_from_child = false;
+    o.clears_sort = false;
+    return o;
+  }
+
   /// Enumerates implementation options (child property requests + delivered
   /// property) for a physical expression under a required property.
-  void EnumerateOptions(const GroupExpr& expr, const PhysProp& required,
-                        std::vector<Option>* out) {
+  void EnumerateOptions(const GroupExpr& expr, const PhysProp& required, SearchFrame* frame) {
     const Operator& op = expr.op;
     const LogicalStats& stats = GroupStats(expr.group);
+    frame->num_options = 0;
     switch (op.kind) {
       case OpKind::kRangeScan: {
         double bytes = stats.Bytes();
         for (int dop : DopCandidates(bytes, 0)) {
-          Option o;
+          Option& o = NewOption(frame);
           o.delivered.scheme = PartScheme::kRandom;
           o.delivered.dop = dop;
           o.dop = dop;
-          out->push_back(std::move(o));
         }
         break;
       }
@@ -603,17 +634,16 @@ class CompileState {
       case OpKind::kCompute:
       case OpKind::kProcessVertex:
       case OpKind::kSampleScan: {
-        Option o;
+        Option& o = NewOption(frame);
         o.inherit_from_child = true;
         const std::vector<ColumnId>& child_cols =
             memo_.group(expr.children[0]).output_columns;
         o.child_requests.push_back(RequestCoveredBy(required, child_cols) ? required
                                                                           : PhysProp::Any());
-        out->push_back(std::move(o));
         break;
       }
       case OpKind::kPreHashAgg: {
-        Option o;
+        Option& o = NewOption(frame);
         o.inherit_from_child = true;
         o.clears_sort = true;
         PhysProp down = required;
@@ -622,17 +652,15 @@ class CompileState {
             memo_.group(expr.children[0]).output_columns;
         o.child_requests.push_back(RequestCoveredBy(down, child_cols) ? down
                                                                       : PhysProp::Any());
-        out->push_back(std::move(o));
         break;
       }
       case OpKind::kTopNSort:
       case OpKind::kTopNHeap: {
-        Option o;
+        Option& o = NewOption(frame);
         o.child_requests.push_back(PhysProp::Singleton());
         o.delivered = PhysProp::Singleton();
         if (op.kind == OpKind::kTopNSort) o.delivered.sort_keys = op.sort_keys;
         o.dop = 1;
-        out->push_back(std::move(o));
         break;
       }
       case OpKind::kHashJoin: {
@@ -640,16 +668,15 @@ class CompileState {
         const LogicalStats& right = GroupStats(expr.children[1]);
         double bytes = left.Bytes() + right.Bytes();
         int req_dop = (required.scheme == PartScheme::kHash &&
-                       required.part_keys == op.left_keys)
+                       SameKeys(required.part_keys, op.left_keys))
                           ? required.dop
                           : 0;
         for (int dop : DopCandidates(bytes, req_dop)) {
-          Option o;
+          Option& o = NewOption(frame);
           o.child_requests.push_back(PhysProp::Hash(op.left_keys, dop));
           o.child_requests.push_back(PhysProp::Hash(op.right_keys, dop));
           o.delivered = PhysProp::Hash(op.left_keys, dop);
           o.dop = dop;
-          out->push_back(std::move(o));
         }
         break;
       }
@@ -657,12 +684,11 @@ class CompileState {
         // Probe keeps its own distribution; the build side is broadcast to
         // the probe's parallelism. The probe's dop is resolved by a
         // two-phase walk in OptimizeGroup (kResolveBroadcast marker below).
-        Option o;
+        Option& o = NewOption(frame);
         o.inherit_from_child = true;  // probe is child 0 in cost and plan
         o.clears_sort = true;
         o.child_requests.push_back(PhysProp::Any());
         o.child_requests.push_back(PhysProp::Broadcast(0));  // dop patched later
-        out->push_back(std::move(o));
         break;
       }
       case OpKind::kMergeJoin: {
@@ -670,11 +696,11 @@ class CompileState {
         const LogicalStats& right = GroupStats(expr.children[1]);
         double bytes = left.Bytes() + right.Bytes();
         int req_dop = (required.scheme == PartScheme::kHash &&
-                       required.part_keys == op.left_keys)
+                       SameKeys(required.part_keys, op.left_keys))
                           ? required.dop
                           : 0;
         for (int dop : DopCandidates(bytes, req_dop)) {
-          Option o;
+          Option& o = NewOption(frame);
           PhysProp l = PhysProp::Hash(op.left_keys, dop);
           l.sort_keys = op.left_keys;
           PhysProp r = PhysProp::Hash(op.right_keys, dop);
@@ -683,103 +709,93 @@ class CompileState {
           o.delivered = PhysProp::Hash(op.left_keys, dop);
           o.delivered.sort_keys = op.left_keys;
           o.dop = dop;
-          out->push_back(std::move(o));
         }
         break;
       }
       case OpKind::kLoopJoin: {
-        Option o;
+        Option& o = NewOption(frame);
         o.child_requests = {PhysProp::Singleton(), PhysProp::Singleton()};
         o.delivered = PhysProp::Singleton();
         o.dop = 1;
-        out->push_back(std::move(o));
         break;
       }
       case OpKind::kIndexApplyJoin: {
-        Option o;
+        Option& o = NewOption(frame);
         o.inherit_from_child = true;
         o.clears_sort = true;
         o.child_requests.push_back(PhysProp::Any());
-        out->push_back(std::move(o));
         break;
       }
       case OpKind::kHashAgg:
       case OpKind::kStreamAgg: {
         const LogicalStats& child = GroupStats(expr.children[0]);
         if (op.group_keys.empty()) {
-          Option o;
+          Option& o = NewOption(frame);
           PhysProp req = PhysProp::Singleton();
           if (op.kind == OpKind::kStreamAgg) req.sort_keys = op.group_keys;
           o.child_requests.push_back(std::move(req));
           o.delivered = PhysProp::Singleton();
           o.dop = 1;
-          out->push_back(std::move(o));
           break;
         }
         int req_dop = (required.scheme == PartScheme::kHash &&
-                       required.part_keys == op.group_keys)
+                       SameKeys(required.part_keys, op.group_keys))
                           ? required.dop
                           : 0;
         for (int dop : DopCandidates(child.Bytes(), req_dop)) {
-          Option o;
+          Option& o = NewOption(frame);
           PhysProp req = PhysProp::Hash(op.group_keys, dop);
           if (op.kind == OpKind::kStreamAgg) req.sort_keys = op.group_keys;
           o.child_requests.push_back(std::move(req));
           o.delivered = PhysProp::Hash(op.group_keys, dop);
           if (op.kind == OpKind::kStreamAgg) o.delivered.sort_keys = op.group_keys;
           o.dop = dop;
-          out->push_back(std::move(o));
         }
         break;
       }
       case OpKind::kPhysicalUnionAll: {
         const LogicalStats& stats_out = GroupStats(expr.group);
         for (int dop : DopCandidates(stats_out.Bytes(), 0)) {
-          Option o;
+          Option& o = NewOption(frame);
           o.child_requests.assign(expr.children.size(), PhysProp::Any());
           o.delivered.scheme = PartScheme::kRandom;
           o.delivered.dop = dop;
           o.dop = dop;
-          out->push_back(std::move(o));
         }
         break;
       }
       case OpKind::kVirtualDataset: {
-        Option o;
+        Option& o = NewOption(frame);
         o.child_requests.assign(expr.children.size(), PhysProp::Any());
         o.delivered.scheme = PartScheme::kRandom;
         o.delivered.dop = 0;  // resolved to the sum of child dops
         o.dop = 0;
-        out->push_back(std::move(o));
         break;
       }
       case OpKind::kSortedUnionAll: {
-        Option o;
+        Option& o = NewOption(frame);
         o.child_requests.assign(expr.children.size(), PhysProp::Singleton());
         o.delivered = PhysProp::Singleton();
         o.dop = 1;
-        out->push_back(std::move(o));
         break;
       }
       case OpKind::kWindowSegment: {
         const LogicalStats& child = GroupStats(expr.children[0]);
         for (int dop : DopCandidates(child.Bytes(), 0)) {
-          Option o;
+          Option& o = NewOption(frame);
           PhysProp req = PhysProp::Hash(op.window_keys, dop);
           req.sort_keys = op.window_keys;
           o.child_requests.push_back(std::move(req));
           o.delivered = PhysProp::Hash(op.window_keys, dop);
           o.delivered.sort_keys = op.window_keys;
           o.dop = dop;
-          out->push_back(std::move(o));
         }
         break;
       }
       case OpKind::kOutputWriter: {
-        Option o;
+        Option& o = NewOption(frame);
         o.inherit_from_child = true;
         o.child_requests.push_back(PhysProp::Any());
-        out->push_back(std::move(o));
         break;
       }
       default:
@@ -787,62 +803,87 @@ class CompileState {
     }
   }
 
-  const Winner* OptimizeGroup(GroupId gid, const PhysProp& required) {
-    if (Aborted()) return nullptr;
-    Group& group = memo_.group(gid);
-    uint64_t key = required.Key();
-    auto it = group.winners.find(key);
-    if (it != group.winners.end()) return &it->second;
-    // Insert an invalid placeholder to terminate accidental recursion.
-    group.winners.emplace(key, Winner{});
+  const Winner& WinnerAt(int index) const { return winners_[static_cast<size_t>(index)]; }
 
+  /// False for kNoWinner, for the placeholder of a request still being
+  /// optimized further up the recursion, and for a request nothing satisfies.
+  bool Feasible(int index) const { return index != kNoWinner && WinnerAt(index).valid; }
+
+  /// The winner-table index for the request with `key` in group `gid`, or
+  /// kNoWinner.
+  int FindWinner(GroupId gid, uint64_t key) const {
+    for (const WinnerSlot& slot : group_state_[static_cast<size_t>(gid)].winners) {
+      if (slot.key == key) return slot.index;
+    }
+    return kNoWinner;
+  }
+
+  /// Returns the index of the best implementation of `gid` under
+  /// `required` in winners_, or kNoWinner when the compile was aborted.
+  /// Nested calls grow winners_, so callers hold indices, never references,
+  /// across them.
+  int OptimizeGroup(GroupId gid, const PhysProp& required) {
+    if (Aborted()) return kNoWinner;
+    const uint64_t key = required.Key();
+    const int found = FindWinner(gid, key);
+    if (found != kNoWinner) return found;
+    // Insert an invalid placeholder to terminate accidental recursion.
+    const int index = static_cast<int>(winners_.size());
+    winners_.emplace_back();
+    group_state_[static_cast<size_t>(gid)].winners.push_back({key, index});
+
+    if (depth_ == frames_.size()) frames_.emplace_back();
+    SearchFrame& frame = frames_[depth_++];
     Winner best;
     const LogicalStats& stats = GroupStats(gid);
 
-    // Iterate over a copy: optimizing children can grow the expr vector and
-    // invalidate references, but never adds exprs to *this* group.
-    std::vector<ExprId> exprs = group.exprs;
-    std::vector<Option> opts;
-    for (ExprId eid : exprs) {
+    // No expression is added during the search, so the group's expression
+    // list and every GroupExpr stay put across the nested calls.
+    for (ExprId eid : memo_.group(gid).exprs) {
       const GroupExpr& expr = memo_.expr(eid);
       if (expr.is_logical) continue;
-      opts.clear();
-      EnumerateOptions(expr, required, &opts);
-      for (Option& opt : opts) {
+      EnumerateOptions(expr, required, &frame);
+      for (size_t o = 0; o < frame.num_options; ++o) {
+        Option& opt = frame.options[o];
         // Defensive: an option must request exactly one property per child.
         if (opt.child_requests.size() != expr.children.size()) continue;
         double cost = 0.0;
-        std::vector<PhysProp> child_reqs = std::move(opt.child_requests);
-        std::vector<const LogicalStats*> child_stats;
+        std::vector<PhysProp>& child_reqs = opt.child_requests;
+        std::vector<const LogicalStats*>& child_stats = frame.child_stats;
+        child_stats.clear();
         bool feasible = true;
 
         // Two-phase resolution for broadcast joins: probe first, then the
         // build side at the probe's parallelism.
         if (expr.op.kind == OpKind::kBroadcastHashJoin) {
-          const Winner* probe = OptimizeGroup(expr.children[0], child_reqs[0]);
-          if (probe == nullptr || !probe->valid) continue;
-          int probe_dop = std::max(1, probe->delivered.dop);
+          const int probe = OptimizeGroup(expr.children[0], child_reqs[0]);
+          if (!Feasible(probe)) continue;
+          int probe_dop = std::max(1, WinnerAt(probe).delivered.dop);
           child_reqs[1].dop = probe_dop;
-          const Winner* build = OptimizeGroup(expr.children[1], child_reqs[1]);
-          if (build == nullptr || !build->valid) continue;
-          cost = probe->cost + build->cost;
+          const int build = OptimizeGroup(expr.children[1], child_reqs[1]);
+          if (!Feasible(build)) continue;
+          // Read the probe winner only now: when probe and build are one
+          // group, the build call grew winners_.
+          const Winner& probe_winner = WinnerAt(probe);
+          cost = probe_winner.cost + WinnerAt(build).cost;
           child_stats = {&GroupStats(expr.children[0]), &GroupStats(expr.children[1])};
-          opt.delivered = probe->delivered;
+          opt.delivered = probe_winner.delivered;
           opt.delivered.sort_keys.clear();
           opt.dop = probe_dop;
         } else {
           for (size_t i = 0; i < expr.children.size(); ++i) {
-            const Winner* child = OptimizeGroup(expr.children[i], child_reqs[i]);
-            if (child == nullptr || !child->valid) {
+            const int child = OptimizeGroup(expr.children[i], child_reqs[i]);
+            if (!Feasible(child)) {
               feasible = false;
               break;
             }
-            cost += child->cost;
+            const Winner& child_winner = WinnerAt(child);
+            cost += child_winner.cost;
             child_stats.push_back(&GroupStats(expr.children[i]));
             if (i == 0 && opt.inherit_from_child) {
-              opt.delivered = child->delivered;
+              opt.delivered = child_winner.delivered;
               if (opt.clears_sort) opt.delivered.sort_keys.clear();
-              opt.dop = std::max(1, child->delivered.dop);
+              opt.dop = std::max(1, child_winner.delivered.dop);
             }
           }
           if (!feasible) continue;
@@ -850,8 +891,8 @@ class CompileState {
             // Delivered parallelism is the union of all source partitions.
             int total = 0;
             for (size_t i = 0; i < expr.children.size(); ++i) {
-              const Winner* child = OptimizeGroup(expr.children[i], child_reqs[i]);
-              total += std::max(1, child->delivered.dop);
+              const int child = FindWinner(expr.children[i], child_reqs[i].Key());
+              total += std::max(1, WinnerAt(child).delivered.dop);
             }
             opt.delivered.dop = std::min(total, options_.max_dop * 2);
             opt.dop = opt.delivered.dop;
@@ -863,8 +904,9 @@ class CompileState {
         cost += local.latency;
 
         PhysProp delivered = opt.delivered;
-        std::vector<Operator> enforcers;
-        cost += ApplyEnforcers(required, stats, &delivered, &enforcers);
+        Enforcer exchange;
+        Enforcer sort;
+        cost += ApplyEnforcers(required, stats, &delivered, &exchange, &sort);
         if (!required.SatisfiedBy(delivered)) continue;  // unsatisfiable request
 
         if (!best.valid || cost < best.cost) {
@@ -872,16 +914,17 @@ class CompileState {
           best.cost = cost;
           best.expr = eid;
           best.dop = std::max(1, opt.dop);
-          best.child_requests = std::move(child_reqs);
+          best.child_requests = child_reqs;
           best.delivered = delivered;
-          best.enforcers = std::move(enforcers);
+          best.exchange = exchange;
+          best.sort = sort;
         }
       }
     }
 
-    Group& group_again = memo_.group(gid);
-    group_again.winners[key] = std::move(best);
-    return &group_again.winners[key];
+    --depth_;
+    winners_[static_cast<size_t>(index)] = std::move(best);
+    return index;
   }
 
   // ---------------------------------------------------------------------
@@ -893,10 +936,11 @@ class CompileState {
     auto cached = extraction_cache_.find(cache_key);
     if (cached != extraction_cache_.end()) return cached->second;
 
-    const Group& group = memo_.group(gid);
-    auto wit = group.winners.find(required.Key());
-    if (wit == group.winners.end() || !wit->second.valid) return nullptr;
-    const Winner& winner = wit->second;
+    const int index = FindWinner(gid, required.Key());
+    if (!Feasible(index)) return nullptr;
+    // Extraction only reads winners_, so this reference outlives the
+    // recursion below.
+    const Winner& winner = WinnerAt(index);
     const GroupExpr& expr = memo_.expr(winner.expr);
 
     // Provenance: the implementation rule + the rewrite lineage of the
@@ -916,23 +960,32 @@ class CompileState {
     op.dop = winner.dop;
     PlanNodePtr node = PlanNode::Make(std::move(op), std::move(children));
 
-    for (const Operator& enforcer : winner.enforcers) {
-      if (enforcer.kind == OpKind::kExchange) {
-        switch (enforcer.exchange) {
-          case ExchangeKind::kRepartition:
-            signature->Set(rules::kEnforceExchange);
-            break;
-          case ExchangeKind::kGather:
-            signature->Set(rules::kEnforceGather);
-            break;
-          case ExchangeKind::kBroadcast:
-            signature->Set(rules::kEnforceBroadcast);
-            break;
-        }
-      } else {
-        signature->Set(rules::kEnforceSort);
+    if (winner.exchange.present) {
+      switch (winner.exchange.exchange) {
+        case ExchangeKind::kRepartition:
+          signature->Set(rules::kEnforceExchange);
+          break;
+        case ExchangeKind::kGather:
+          signature->Set(rules::kEnforceGather);
+          break;
+        case ExchangeKind::kBroadcast:
+          signature->Set(rules::kEnforceBroadcast);
+          break;
       }
-      node = PlanNode::Make(enforcer, {std::move(node)});
+      Operator exchange;
+      exchange.kind = OpKind::kExchange;
+      exchange.exchange = winner.exchange.exchange;
+      exchange.exchange_keys.assign(winner.exchange.keys.begin(), winner.exchange.keys.end());
+      exchange.dop = winner.exchange.dop;
+      node = PlanNode::Make(std::move(exchange), {std::move(node)});
+    }
+    if (winner.sort.present) {
+      signature->Set(rules::kEnforceSort);
+      Operator sort;
+      sort.kind = OpKind::kSort;
+      sort.sort_keys.assign(winner.sort.keys.begin(), winner.sort.keys.end());
+      sort.dop = winner.sort.dop;
+      node = PlanNode::Make(std::move(sort), {std::move(node)});
     }
     extraction_cache_[cache_key] = node;
     return node;
@@ -955,7 +1008,33 @@ class CompileState {
   ColumnUniverse universe_;
   EstimatedStatsView est_view_;
   RuleContext ctx_;
-  std::unordered_map<GroupId, LogicalStats> stats_;
+
+  // Search state. Sized once Implement returns; see Run.
+  /// A group's winner for one request: the request's PhysProp::Key() and
+  /// the winner's index in winners_.
+  struct WinnerSlot {
+    uint64_t key;
+    int index;
+  };
+  struct GroupSearch {
+    bool stats_ready = false;
+    LogicalStats stats;
+    SmallVector<WinnerSlot, 2> winners;
+  };
+  static constexpr int kNoWinner = -1;
+  /// Indexed by GroupId.
+  std::vector<GroupSearch> group_state_;
+  std::vector<Winner> winners_;
+  std::deque<SearchFrame> frames_;
+  size_t depth_ = 0;
+  /// Enforcer operators and their one-element input, reused by
+  /// ApplyEnforcers for costing.
+  Operator exchange_op_;
+  Operator sort_op_;
+  std::vector<const LogicalStats*> enforcer_input_ = {nullptr};
+  /// Child statistics handed to DeriveStats by GroupStats.
+  std::vector<const LogicalStats*> stats_input_;
+
   std::unordered_map<uint64_t, PlanNodePtr> extraction_cache_;
   std::vector<int> normalization_rules_used_;
   std::unordered_map<const PlanNode*, std::vector<ColumnId>> norm_cols_;

@@ -4,10 +4,10 @@
 
 namespace qsteer {
 
-PhysProp PhysProp::Hash(std::vector<ColumnId> keys, int dop) {
+PhysProp PhysProp::Hash(const std::vector<ColumnId>& keys, int dop) {
   PhysProp p;
   p.scheme = PartScheme::kHash;
-  p.part_keys = std::move(keys);
+  p.part_keys = keys;
   p.dop = dop;
   return p;
 }

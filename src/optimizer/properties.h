@@ -9,6 +9,7 @@
 #include <string>
 #include <vector>
 
+#include "common/small_vector.h"
 #include "plan/column.h"
 
 namespace qsteer {
@@ -26,17 +27,22 @@ enum class PartScheme : uint8_t {
   kBroadcast,
 };
 
+/// Partitioning or sort columns of a property. Keys rarely exceed four
+/// columns, so the property search copies requests without a heap
+/// allocation.
+using PropKeys = SmallVector<ColumnId, 4>;
+
 /// A required or delivered physical property.
 struct PhysProp {
   PartScheme scheme = PartScheme::kAny;
-  std::vector<ColumnId> part_keys;
+  PropKeys part_keys;
   /// Required/delivered sort order; satisfaction is prefix-based.
-  std::vector<ColumnId> sort_keys;
+  PropKeys sort_keys;
   /// Partition count. 0 on the request side means "optimizer's choice".
   int dop = 0;
 
   static PhysProp Any() { return PhysProp{}; }
-  static PhysProp Hash(std::vector<ColumnId> keys, int dop);
+  static PhysProp Hash(const std::vector<ColumnId>& keys, int dop);
   static PhysProp Singleton();
   static PhysProp Broadcast(int dop);
 

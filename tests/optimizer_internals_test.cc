@@ -126,6 +126,34 @@ TEST_F(OptimizerInternalsTest, BroadcastJoinBroadcastsAtProbeParallelism) {
   EXPECT_GT(bcast_join->op.dop, 1);
 }
 
+TEST_F(OptimizerInternalsTest, BroadcastJoinOfAGroupWithItself) {
+  // Both join inputs are one shared scan node, so they are one memo group:
+  // the search optimizes that group for the probe's request and, inside
+  // the same option, again for the broadcast build side.
+  PlanNodePtr dim = Scan(1);
+  Operator join;
+  join.kind = OpKind::kJoin;
+  join.join_type = JoinType::kInner;
+  join.left_keys = {dk_};
+  join.right_keys = {dk_};
+  Job job = WrapJob(PlanNode::Make(join, {dim, dim}));
+  Optimizer optimizer(&catalog_);
+  RuleConfig config = RuleConfig::Default();
+  for (RuleId id : {224, 225, 228, 229, 232, 233, 234, 235}) config.Disable(id);
+  Result<CompiledPlan> plan = optimizer.Compile(job, config);
+  ASSERT_TRUE(plan.ok());
+  const PlanNode* bcast_join = FindKind(plan.value().root, OpKind::kBroadcastHashJoin);
+  ASSERT_NE(bcast_join, nullptr);
+  EXPECT_EQ(bcast_join->op.dop, 2);
+  const PlanNode* bcast_exchange = FindKind(plan.value().root, OpKind::kExchange);
+  ASSERT_NE(bcast_exchange, nullptr);
+  EXPECT_EQ(bcast_exchange->op.exchange, ExchangeKind::kBroadcast);
+  EXPECT_EQ(bcast_exchange->op.dop, 2);
+  // Recorded before the winner table moved out of the memo.
+  EXPECT_EQ(PlanHash(plan.value().root, /*for_template=*/false), 0xff73f78e1b9b0444ull);
+  EXPECT_EQ(plan.value().est_cost, 2.568504855588345);
+}
+
 TEST_F(OptimizerInternalsTest, FilterInheritsChildDop) {
   Operator select;
   select.kind = OpKind::kSelect;
