@@ -157,31 +157,10 @@ int main(int argc, char** argv) {
               analyzed, failed_baselines, candidates, service->store().num_groups());
 
   // ---------------- Validation gate ----------------
-  uint64_t nonce = 1000;
-  int validation_runs = 0;
-  for (int round = 0; round < 8; ++round) {
-    std::vector<SteeringRecommender::ValidationRequest> pending =
-        service->store().PendingValidations();
-    if (pending.empty()) break;
-    for (const SteeringRecommender::ValidationRequest& request : pending) {
-      auto it = group_rep.find(request.signature.ToHexString());
-      if (it == group_rep.end()) continue;
-      const Job& job = it->second;
-      Result<CompiledPlan> default_plan = optimizer.Compile(job, RuleConfig::Default());
-      Result<CompiledPlan> steered_plan = optimizer.Compile(job, request.config);
-      if (!default_plan.ok() || !steered_plan.ok()) continue;
-      ExecMetrics base = pipeline.ExecuteWithRetry(job, default_plan.value().root, ++nonce);
-      ExecMetrics alt = pipeline.ExecuteWithRetry(job, steered_plan.value().root, ++nonce);
-      ++validation_runs;
-      if (base.failed || base.runtime <= 0.0) continue;
-      service->store().ObserveValidation(
-          request.signature,
-          alt.failed ? 100.0 : (alt.runtime - base.runtime) / base.runtime * 100.0);
-    }
-  }
-  std::printf("Validation: %d re-runs; %d groups validated for serving, %d rejected.\n\n",
-              validation_runs, service->store().num_serving(),
-              service->store().num_retired());
+  // qsteer-lint: allow(unchecked-status) reports go to the store, which cannot fail them
+  (void)RunValidationGate(service->pipeline(), group_rep, service->store());
+  std::printf("Validation: %d groups validated for serving, %d rejected.\n\n",
+              service->store().num_serving(), service->store().num_retired());
 
   // ---------------- Days 2-7: asynchronous online serving ----------------
   const int crash_day = 5;

@@ -98,30 +98,38 @@ void SteeringRecommender::ObserveValidation(const RuleSignature& signature,
   }
 }
 
+SteeringRecommender::SnapshotEntry SteeringRecommender::Decide(const RuleSignature& signature,
+                                                               const Entry* entry) {
+  SnapshotEntry decision;
+  decision.signature = signature;
+  decision.recommendation.config = RuleConfig::Default();
+  if (entry == nullptr || entry->retired || !entry->adopted) return decision;
+  if (entry->breaker == BreakerState::kOpen) {
+    // Rolled back: the default serves while the cooldown clock runs.
+    decision.mutates_on_recommend = true;
+    return decision;
+  }
+  Recommendation& rec = decision.recommendation;
+  rec.is_default = false;
+  rec.config = entry->config;
+  rec.expected_improvement_pct = entry->improvement_pct;
+  rec.support = entry->support;
+  rec.probing = entry->breaker == BreakerState::kHalfOpen;
+  return decision;
+}
+
 SteeringRecommender::Recommendation SteeringRecommender::Recommend(
     const RuleSignature& default_signature) {
-  Recommendation rec;
-  rec.config = RuleConfig::Default();
   auto it = store_.find(default_signature);
-  if (it == store_.end()) return rec;
+  if (it == store_.end()) return Decide(default_signature, nullptr).recommendation;
   Entry& entry = it->second;
-  if (entry.retired || !entry.adopted) return rec;
-
-  if (entry.breaker == BreakerState::kOpen) {
-    // Rolled back: serve the default while the cooldown clock runs.
-    if (--entry.cooldown_remaining <= 0) {
-      entry.breaker = BreakerState::kHalfOpen;
-      entry.probe_successes = 0;
-    }
-    return rec;
+  SnapshotEntry decision = Decide(default_signature, &entry);
+  // An open breaker's lookup ticks its cooldown; at zero it half-opens.
+  if (decision.mutates_on_recommend && --entry.cooldown_remaining <= 0) {
+    entry.breaker = BreakerState::kHalfOpen;
+    entry.probe_successes = 0;
   }
-
-  rec.is_default = false;
-  rec.config = entry.config;
-  rec.expected_improvement_pct = entry.improvement_pct;
-  rec.support = entry.support;
-  rec.probing = entry.breaker == BreakerState::kHalfOpen;
-  return rec;
+  return decision.recommendation;
 }
 
 std::vector<SteeringRecommender::SnapshotEntry> SteeringRecommender::SnapshotRecommendations()
@@ -129,35 +137,13 @@ std::vector<SteeringRecommender::SnapshotEntry> SteeringRecommender::SnapshotRec
   std::vector<SnapshotEntry> out;
   out.reserve(store_.size());
   // qsteer-lint: sorted consumer rebuilds an unordered map from these rows; order never reaches bytes
-  for (const auto& [signature, entry] : store_) {
-    SnapshotEntry row;
-    row.signature = signature;
-    row.recommendation.config = RuleConfig::Default();
-    // Mirrors Recommend() without the open-breaker cooldown tick; rows that
-    // would tick are flagged instead, and the snapshot's consumer routes
-    // them to the mutating path.
-    if (!entry.retired && entry.adopted) {
-      if (entry.breaker == BreakerState::kOpen) {
-        row.mutates_on_recommend = true;
-      } else {
-        row.recommendation.is_default = false;
-        row.recommendation.config = entry.config;
-        row.recommendation.expected_improvement_pct = entry.improvement_pct;
-        row.recommendation.support = entry.support;
-        row.recommendation.probing = entry.breaker == BreakerState::kHalfOpen;
-      }
-    }
-    out.push_back(std::move(row));
-  }
+  for (const auto& [signature, entry] : store_) out.push_back(Decide(signature, &entry));
   return out;
 }
 
 bool SteeringRecommender::WouldMutateOnRecommend(const RuleSignature& default_signature) const {
   auto it = store_.find(default_signature);
-  if (it == store_.end()) return false;
-  const Entry& entry = it->second;
-  // Mirrors Recommend(): only an open breaker's cooldown tick writes state.
-  return !entry.retired && entry.adopted && entry.breaker == BreakerState::kOpen;
+  return it != store_.end() && Decide(default_signature, &it->second).mutates_on_recommend;
 }
 
 void SteeringRecommender::ObserveOutcome(const RuleSignature& default_signature,

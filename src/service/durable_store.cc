@@ -218,22 +218,8 @@ void DurableRecommenderStore::PublishViewLocked() {
 
 SteeringRecommender::Recommendation DurableRecommenderStore::RecommendFast(
     const RuleSignature& signature) {
-  std::shared_ptr<const RecommendationView> view = view_.load(std::memory_order_acquire);
-  if (view != nullptr) {
-    auto it = view->rows.find(signature);
-    if (it == view->rows.end()) {
-      // Unknown group: Recommend() would return the pure default without
-      // touching state — serve it straight from the view.
-      fast_recommends_.fetch_add(1, std::memory_order_relaxed);
-      SteeringRecommender::Recommendation rec;
-      rec.config = RuleConfig::Default();
-      return rec;
-    }
-    if (!it->second.mutates_on_recommend) {
-      fast_recommends_.fetch_add(1, std::memory_order_relaxed);
-      return it->second.recommendation;
-    }
-  }
+  SteeringRecommender::Recommendation rec;
+  if (TryRecommendPure(signature, &rec)) return rec;
   // Open breaker (cooldown must tick and be journaled) or pre-Open call:
   // take the slow, locked path.
   locked_recommends_.fetch_add(1, std::memory_order_relaxed);

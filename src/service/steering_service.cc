@@ -8,6 +8,16 @@
 #include "common/hash.h"
 
 namespace qsteer {
+namespace {
+
+/// Runtime change of `alt` against `base`, in percent. A run that stayed
+/// failed after retries is the worst regression we can observe (100).
+double RuntimeChangePct(const ExecMetrics& base, const ExecMetrics& alt) {
+  if (alt.failed) return 100.0;
+  return base.runtime > 0.0 ? (alt.runtime - base.runtime) / base.runtime * 100.0 : 0.0;
+}
+
+}  // namespace
 
 const char* AdmitResultName(AdmitResult result) {
   switch (result) {
@@ -47,11 +57,39 @@ std::string ServiceStatusSnapshot::ToString() const {
   return out.str();
 }
 
+Status RunValidationGate(const SteeringPipeline& pipeline,
+                         const std::unordered_map<std::string, Job>& group_jobs,
+                         DurableRecommenderStore& store, const ValidationReport& report) {
+  constexpr int kRounds = 8;
+  uint64_t nonce = 0;
+  for (int round = 0; round < kRounds; ++round) {
+    std::vector<SteeringRecommender::ValidationRequest> pending = store.PendingValidations();
+    if (pending.empty()) break;
+    for (const SteeringRecommender::ValidationRequest& request : pending) {
+      auto it = group_jobs.find(request.signature.ToHexString());
+      if (it == group_jobs.end()) continue;
+      const Job& job = it->second;
+      Result<CompiledPlan> base_plan = pipeline.CompileCached(job, RuleConfig::Default());
+      Result<CompiledPlan> alt_plan = pipeline.CompileCached(job, request.config);
+      if (!base_plan.ok() || !alt_plan.ok()) continue;
+      ExecMetrics base = pipeline.ExecuteWithRetry(job, base_plan.value().root, ++nonce);
+      ExecMetrics alt = pipeline.ExecuteWithRetry(job, alt_plan.value().root, ++nonce);
+      if (base.failed || base.runtime <= 0.0) continue;
+      double change_pct = RuntimeChangePct(base, alt);
+      if (!report) {
+        store.ObserveValidation(request.signature, change_pct);
+        continue;
+      }
+      Status status = report(request.signature, change_pct);
+      if (!status.ok()) return status;
+    }
+  }
+  return Status::OK();
+}
+
 SteeringService::SteeringService(const Optimizer* optimizer,
                                  const ExecutionSimulator* simulator, ServiceOptions options)
-    : optimizer_(optimizer),
-      simulator_(simulator),
-      options_(std::move(options)),
+    : options_(std::move(options)),
       pipeline_(optimizer, simulator, options_.pipeline),
       store_(options_.store),
       queue_(options_.queue_capacity) {}
@@ -169,18 +207,8 @@ void SteeringService::ProcessRequest(QueueItem item) {
     if (steered.ok()) {
       ExecMetrics steered_metrics = pipeline_.ExecuteWithRetry(
           job, steered.value().root, HashCombine(nonce, 0x9e3779b97f4a7c15ULL));
-      double change_pct;
-      if (steered_metrics.failed) {
-        // A steered run that stays failed after retries is the worst
-        // regression we can observe; drive the breaker accordingly.
-        change_pct = 100.0;
-      } else if (default_metrics.runtime > 0.0) {
-        change_pct = (steered_metrics.runtime - default_metrics.runtime) /
-                     default_metrics.runtime * 100.0;
-      } else {
-        change_pct = 0.0;
-      }
-      store_.ObserveOutcome(default_plan.value().signature, change_pct);
+      store_.ObserveOutcome(default_plan.value().signature,
+                            RuntimeChangePct(default_metrics, steered_metrics));
       if (!steered_metrics.failed) {
         reply.steered = true;
         reply.probing = rec.probing;
@@ -243,7 +271,7 @@ void SteeringService::StopReanalysisWorker() {
   {
     MutexLock lock(reanalysis_mu_);
     reanalysis_stop_ = true;
-    if (reanalysis_token_ != nullptr) reanalysis_token_->RequestCancel();
+    ++reanalysis_generation_;  // an analysis still in flight is abandoned
     worker = std::move(reanalysis_thread_);
   }
   reanalysis_cv_.NotifyAll();
@@ -292,11 +320,10 @@ bool SteeringService::RequestReanalysis(const Job& job) {
   }
   {
     MutexLock lock(reanalysis_mu_);
-    // Newest request wins: supersede (cancel) whatever is pending/in-flight.
-    if (reanalysis_token_ != nullptr) reanalysis_token_->RequestCancel();
+    // Newest request wins: supersede whatever is pending or in flight.
+    ++reanalysis_generation_;
     if (reanalysis_pending_.has_value()) ++reanalyses_abandoned_;
     reanalysis_pending_ = job;
-    reanalysis_token_ = std::make_shared<CancellationToken>();
   }
   reanalysis_cv_.NotifyAll();
   return true;
@@ -305,7 +332,7 @@ bool SteeringService::RequestReanalysis(const Job& job) {
 void SteeringService::ReanalysisLoop() {
   for (;;) {
     Job job;
-    std::shared_ptr<CancellationToken> token;
+    uint64_t generation = 0;
     {
       MutexLock lock(reanalysis_mu_);
       while (!reanalysis_stop_ && !reanalysis_pending_.has_value()) {
@@ -314,19 +341,23 @@ void SteeringService::ReanalysisLoop() {
       if (reanalysis_stop_) return;
       job = std::move(*reanalysis_pending_);
       reanalysis_pending_.reset();
-      token = reanalysis_token_;
+      generation = reanalysis_generation_;
     }
     JobAnalysis analysis = pipeline_.AnalyzeJob(job);
     {
       MutexLock lock(reanalysis_mu_);
-      if (token->cancelled()) {
+      if (reanalysis_generation_ != generation) {
         // Superseded while analyzing: discard rather than apply stale work.
         ++reanalyses_abandoned_;
         continue;
       }
       ++reanalyses_completed_;
     }
-    store_.LearnFromAnalysis(analysis);
+    if (store_.LearnFromAnalysis(analysis)) {
+      // qsteer-lint: allow(unchecked-status) reports go to the store, which cannot fail them
+      (void)RunValidationGate(pipeline_, {{analysis.default_plan.signature.ToHexString(), job}},
+                              store_);
+    }
   }
 }
 

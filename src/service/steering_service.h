@@ -23,19 +23,21 @@
 // learning; restart recovery replays to a bit-identical store. Clean
 // Shutdown() drains the queue, snapshots, and joins.
 //
-// A background re-analysis worker holds a single pending slot: requesting a
-// re-analysis cancels the previous request's CancellationToken, and a
-// superseded analysis is abandoned (counted, not applied) instead of
-// clobbering fresher learning.
+// A background re-analysis worker holds a single pending slot. Requests
+// (and the stop) bump a generation number; an analysis overtaken by a newer
+// generation is abandoned (counted, not applied) instead of clobbering
+// fresher learning. An applied analysis that learns a candidate runs
+// RunValidationGate on the re-analyzed job.
 #ifndef QSTEER_SERVICE_STEERING_SERVICE_H_
 #define QSTEER_SERVICE_STEERING_SERVICE_H_
 
 #include <cstdint>
+#include <functional>
 #include <future>
-#include <memory>
 #include <optional>
 #include <string>
 #include <thread>
+#include <unordered_map>
 #include <vector>
 
 #include "common/bounded_queue.h"
@@ -159,6 +161,29 @@ struct ServiceStatusSnapshot {
   std::string ToString() const;
 };
 
+/// Receives one validation verdict: the candidate's runtime change against
+/// the default, in percent (positive = regression).
+using ValidationReport =
+    std::function<Status(const RuleSignature& signature, double runtime_change_pct)>;
+
+/// The validation gate, the one place validation re-runs happen: a learned
+/// candidate serves only after it beats the default on re-execution (§6).
+/// Up to 8 rounds, each over `store.PendingValidations()` (signature order),
+/// stopping when none are pending. A candidate whose group has a job in
+/// `group_jobs` (keyed by signature hex) is compiled under the default and
+/// its own configuration (`CompileCached`; a failed compile skips it for the
+/// round) and both plans run through `ExecuteWithRetry` with nonces 1, 2,
+/// 3, ... per call: default first, then candidate, in request order. `qsteer
+/// serve`'s durable files depend on that order. A failed or zero-length
+/// default run skips the candidate; otherwise the verdict is
+/// `(alt - base) / base * 100`, or 100 when the candidate's run failed. It
+/// goes to `report` when given, else to `store.ObserveValidation`. Returns
+/// the first non-OK report status.
+Status RunValidationGate(const SteeringPipeline& pipeline,
+                         const std::unordered_map<std::string, Job>& group_jobs,
+                         DurableRecommenderStore& store,
+                         const ValidationReport& report = nullptr);
+
 class SteeringService {
  public:
   SteeringService(const Optimizer* optimizer, const ExecutionSimulator* simulator,
@@ -193,8 +218,8 @@ class SteeringService {
   /// must come from the WAL, exactly like a real crash.
   void Kill() EXCLUDES(mu_);
 
-  /// Queues a background re-analysis of `job`, superseding (cancelling) any
-  /// previously queued one. Returns false when the service is not running
+  /// Queues a background re-analysis of `job`, superseding any previously
+  /// queued or in-flight one. Returns false when the service is not running
   /// or re-analysis is disabled.
   bool RequestReanalysis(const Job& job) EXCLUDES(mu_, reanalysis_mu_);
 
@@ -203,9 +228,9 @@ class SteeringService {
   DurableRecommenderStore& store() { return store_; }
   const DurableRecommenderStore& store() const { return store_; }
   const ServiceOptions& options() const { return options_; }
-  /// The service's pipeline (and thus its compile cache). Exposed so
-  /// validation loops and tooling compile through the same cache the
-  /// serving path populates.
+  /// The service's pipeline (and thus its compile cache). Pass it to
+  /// RunValidationGate so validation re-runs compile through the cache the
+  /// serving path populates (and warm it for the requests that follow).
   const SteeringPipeline& pipeline() const { return pipeline_; }
 
  private:
@@ -232,8 +257,6 @@ class SteeringService {
   void StopReanalysisWorker() EXCLUDES(reanalysis_mu_);
   void MarkStopped() EXCLUDES(mu_);
 
-  const Optimizer* optimizer_;
-  const ExecutionSimulator* simulator_;
   ServiceOptions options_;
   SteeringPipeline pipeline_;
   DurableRecommenderStore store_;
@@ -264,7 +287,9 @@ class SteeringService {
   CondVar reanalysis_cv_;
   bool reanalysis_stop_ GUARDED_BY(reanalysis_mu_) = false;
   std::optional<Job> reanalysis_pending_ GUARDED_BY(reanalysis_mu_);
-  std::shared_ptr<CancellationToken> reanalysis_token_ GUARDED_BY(reanalysis_mu_);
+  /// Bumped by every request and by the stop: an analysis that finishes
+  /// under a newer generation than it started with was superseded.
+  uint64_t reanalysis_generation_ GUARDED_BY(reanalysis_mu_) = 0;
   int64_t reanalyses_completed_ GUARDED_BY(reanalysis_mu_) = 0;
   int64_t reanalyses_abandoned_ GUARDED_BY(reanalysis_mu_) = 0;
   std::thread reanalysis_thread_ GUARDED_BY(reanalysis_mu_);

@@ -1,18 +1,23 @@
 // Chaos tests of the replicated serving tier: kill/restart churn,
 // deterministic failover, tail vs. snapshot catch-up, staleness shedding,
-// wire corruption, and concurrent serving during churn (TSan coverage).
+// wire corruption, validation re-runs reported through the leader, and
+// concurrent serving during churn (TSan coverage).
 #include "service/replication.h"
 
 #include <gtest/gtest.h>
 
 #include <atomic>
 #include <filesystem>
+#include <memory>
 #include <string>
 #include <thread>
+#include <unordered_map>
 #include <vector>
 
 #include "common/hash.h"
 #include "common/hash_ring.h"
+#include "service/steering_service.h"
+#include "workload/generator.h"
 
 namespace qsteer {
 namespace {
@@ -423,6 +428,51 @@ TEST(FleetTest, ServeRetriesTransientUnavailableWithBackoff) {
   ASSERT_TRUE(fleet.Serve(Sig(1), &result).ok());
   EXPECT_EQ(fleet.status().unavailable_retries, 2)
       << "a healthy serve consumes no retries";
+}
+
+TEST(FleetTest, ValidationGateReportsThroughTheLeader) {
+  // The gate reads the leader's pending candidates, re-runs them, and
+  // reports through the fleet: the verdicts replicate like any mutation.
+  Workload workload(WorkloadSpec::WorkloadB(0.003));
+  Optimizer optimizer(&workload.catalog());
+  ExecutionSimulator simulator(&workload.catalog());
+  PipelineOptions pipeline_options;
+  pipeline_options.max_candidate_configs = 60;
+  SteeringPipeline pipeline(&optimizer, &simulator, pipeline_options);
+  TempDir dir;
+  ReplicationFleet fleet(Options(dir.path()));
+  ASSERT_TRUE(fleet.Start().ok());
+  std::unordered_map<std::string, Job> group_jobs;
+  std::vector<Job> jobs = workload.JobsForDay(1);
+  for (size_t i = 0; i < 12 && i < jobs.size(); ++i) {
+    JobAnalysis analysis = pipeline.AnalyzeJob(jobs[i]);
+    bool learned = false;
+    ASSERT_TRUE(fleet.LearnFromAnalysis(analysis, &learned).ok());
+    if (learned) group_jobs.emplace(analysis.default_plan.signature.ToHexString(), jobs[i]);
+  }
+  ASSERT_FALSE(group_jobs.empty());
+  ValidationReport report = [&fleet](const RuleSignature& signature, double change_pct) {
+    return fleet.ObserveValidation(signature, change_pct);
+  };
+
+  // With every replica down the fleet refuses the first report, and the
+  // gate returns the fleet's status.
+  std::shared_ptr<DurableRecommenderStore> leader = fleet.replica_store(fleet.leader_id());
+  for (uint32_t r = 0; r < 3; ++r) ASSERT_TRUE(fleet.Kill(r).ok());
+  EXPECT_EQ(RunValidationGate(pipeline, group_jobs, *leader, report).code(),
+            StatusCode::kUnavailable);
+  for (uint32_t r = 0; r < 3; ++r) ASSERT_TRUE(fleet.Restart(r).ok());
+
+  leader = fleet.replica_store(fleet.leader_id());
+  ASSERT_GT(leader->num_pending_validation(), 0);
+  ASSERT_TRUE(RunValidationGate(pipeline, group_jobs, *leader, report).ok());
+  EXPECT_EQ(leader->num_pending_validation(), 0);
+  ASSERT_TRUE(fleet.CatchUpAll().ok());
+  std::string detail;
+  EXPECT_TRUE(fleet.CheckConvergence(&detail).ok()) << detail;
+  for (uint32_t r = 0; r < 3; ++r) {
+    EXPECT_EQ(fleet.replica_store(r)->num_serving(), leader->num_serving()) << "replica " << r;
+  }
 }
 
 TEST(FleetTest, ConcurrentServesSurviveChurn) {

@@ -651,27 +651,8 @@ int CmdServe(int argc, char** argv) {
               candidates);
 
   // Validation gate: candidates must survive clean re-runs before serving.
-  uint64_t nonce = 0;
-  for (int round = 0; round < 8 && !service.store().PendingValidations().empty(); ++round) {
-    for (const SteeringRecommender::ValidationRequest& request :
-         service.store().PendingValidations()) {
-      auto it = group_rep.find(request.signature.ToHexString());
-      if (it == group_rep.end()) continue;
-      // Compile through the service's cache: the serving path will request
-      // these same (job, config) pairs, so validation warms it for free.
-      Result<CompiledPlan> base_plan =
-          service.pipeline().CompileCached(it->second, RuleConfig::Default());
-      Result<CompiledPlan> alt_plan =
-          service.pipeline().CompileCached(it->second, request.config);
-      if (!base_plan.ok() || !alt_plan.ok()) continue;
-      ExecMetrics base = pipeline.ExecuteWithRetry(it->second, base_plan.value().root, ++nonce);
-      ExecMetrics alt = pipeline.ExecuteWithRetry(it->second, alt_plan.value().root, ++nonce);
-      if (base.failed || base.runtime <= 0.0) continue;
-      service.store().ObserveValidation(
-          request.signature,
-          alt.failed ? 100.0 : (alt.runtime - base.runtime) / base.runtime * 100.0);
-    }
-  }
+  // qsteer-lint: allow(unchecked-status) reports go to the store, which cannot fail them
+  (void)RunValidationGate(service.pipeline(), group_rep, service.store());
   std::printf("validation: %d groups serving, %d rejected\n", service.store().num_serving(),
               service.store().num_retired());
 
@@ -826,7 +807,7 @@ int CmdServeFleet(int argc, char** argv) {
   // Day 1 offline: analyze on this process, learn through the leader (the
   // mutations replicate synchronously to every follower).
   int analyzed = 0, learned_groups = 0;
-  std::vector<RuleSignature> signatures;
+  std::unordered_map<std::string, Job> group_rep;
   for (const Job& job : workload.JobsForDay(1)) {
     if (analyzed >= 20) break;
     ++analyzed;
@@ -839,24 +820,25 @@ int CmdServeFleet(int argc, char** argv) {
                    status.ToString().c_str());
       return 1;
     }
-    if (learned) ++learned_groups;
-    signatures.push_back(analysis.default_plan.signature);
+    if (!learned) continue;
+    ++learned_groups;
+    group_rep.emplace(analysis.default_plan.signature.ToHexString(), job);
   }
-  // Validation through the leader so candidates can reach serving state.
+  // Validation re-runs read the leader's pending candidates and report
+  // through the fleet, so the verdicts replicate like any other mutation.
   std::shared_ptr<DurableRecommenderStore> leader =
       fleet.replica_store(fleet.leader_id());
-  for (int round = 0; round < 4 && !leader->PendingValidations().empty(); ++round) {
-    for (const SteeringRecommender::ValidationRequest& request :
-         leader->PendingValidations()) {
-      // The candidate already beat the default in analysis; revalidate with
-      // its recorded improvement (the simulator is deterministic here).
-      // qsteer-lint: allow(unchecked-status) demo driver; a down leader just skips the validation
-      (void)fleet.ObserveValidation(request.signature, -5.0);
-    }
-    leader = fleet.replica_store(fleet.leader_id());
+  status = RunValidationGate(pipeline, group_rep, *leader,
+                             [&fleet](const RuleSignature& signature, double change_pct) {
+                               return fleet.ObserveValidation(signature, change_pct);
+                             });
+  if (!status.ok()) {
+    std::fprintf(stderr, "qsteer serve-fleet: validation failed: %s\n",
+                 status.ToString().c_str());
+    return 1;
   }
-  std::printf("day 1 offline: %d analyzed, %d groups learned, %d serving\n", analyzed,
-              learned_groups, leader->num_serving());
+  std::printf("day 1 offline: %d analyzed, %d groups learned, %d serving, %d retired\n",
+              analyzed, learned_groups, leader->num_serving(), leader->num_retired());
 
   // Days 2..N online: serve every job's signature through the fleet, with
   // hashed kill/restart churn at day boundaries.
