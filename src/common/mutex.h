@@ -29,6 +29,7 @@
 #define QSTEER_COMMON_MUTEX_H_
 
 #include <condition_variable>
+#include <memory>
 #include <mutex>
 
 #include "common/thread_annotations.h"
@@ -99,6 +100,36 @@ class CondVar {
 
  private:
   std::condition_variable cv_;
+};
+
+/// A shared_ptr that writers replace and readers copy out, each in a short
+/// critical section that covers only the pointer copy or swap. A reader's
+/// copy keeps its value alive after a writer replaced it, and the replaced
+/// value is released after the unlock, so no destructor runs under `mu_`.
+///
+/// It stands in for std::atomic<std::shared_ptr<T>>: libstdc++ 12's load
+/// releases that type's internal lock bit with a relaxed store, so a later
+/// store has no happens-before edge from the load and ThreadSanitizer
+/// reports a race. A Mutex is an ordering the sanitizer models.
+template <typename T>
+class SharedPtrSlot {
+ public:
+  std::shared_ptr<T> Load() const EXCLUDES(mu_) {
+    MutexLock lock(mu_);
+    return ptr_;
+  }
+
+  void Store(std::shared_ptr<T> value) EXCLUDES(mu_) {
+    {
+      MutexLock lock(mu_);
+      ptr_.swap(value);
+    }
+    // `value` now holds the replaced pointer and drops it here, unlocked.
+  }
+
+ private:
+  mutable Mutex mu_;
+  std::shared_ptr<T> ptr_ GUARDED_BY(mu_);
 };
 
 }  // namespace qsteer

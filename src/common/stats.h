@@ -58,16 +58,20 @@ struct ThreadPoolStats {
 /// Lives here, next to ThreadPoolStats, so reporting code can consume
 /// resilience counters without pulling in the pipeline itself.
 struct PipelineFailureStats {
-  /// Candidate compilations that hit the compile deadline (transient).
+  // The compile counters cover every compile the pipeline runs: the default
+  // plan, span probes, candidates and CompileCached. A compile-cache hit
+  // does no compile work and counts nothing.
+  /// Compilations that still hit the compile deadline after the retry
+  /// policy (transient).
   int64_t compile_timeouts = 0;
-  /// Candidate compilations that stayed kUnavailable (a remote compile tier
+  /// Compilations that stayed kUnavailable (a remote compile tier
   /// down/over capacity) after the retry policy. Disjoint from
   /// compile_timeouts; both codes are transient (common/status.h
-  /// IsTransient) and retried with backoff before the candidate is dropped.
+  /// IsTransient) and retried with backoff before the compile counts here.
   int64_t compile_unavailable = 0;
-  /// Candidate compilations re-attempted after a transient failure.
+  /// Compile attempts repeated after a transient failure.
   int64_t compile_retries = 0;
-  /// Candidate compilations that failed permanently (kCompilationFailed).
+  /// Compilations that failed permanently (kCompilationFailed).
   int64_t compile_failures = 0;
   /// Simulated executions re-attempted after a transient run failure.
   int64_t exec_retries = 0;

@@ -101,18 +101,14 @@ void ThreadPool::WorkerLoop() {
   current_pool = nullptr;
 }
 
-void ParallelFor(ThreadPool* pool, int64_t n, const std::function<void(int64_t)>& fn,
-                 CancellationToken* cancel) {
+void ParallelFor(ThreadPool* pool, int64_t n, const std::function<void(int64_t)>& fn) {
   if (n <= 0) return;
   // Serial path: no pool, a single worker (no concurrency to gain), a
   // trivially small loop, or a nested call from one of this pool's own
   // workers (fanning out would block a worker on work only workers can do).
   if (pool == nullptr || pool->num_threads() <= 1 || n == 1 ||
       ThreadPool::Current() == pool) {
-    for (int64_t i = 0; i < n; ++i) {
-      if (cancel != nullptr && cancel->cancelled()) return;
-      fn(i);
-    }
+    for (int64_t i = 0; i < n; ++i) fn(i);
     return;
   }
 
@@ -126,9 +122,8 @@ void ParallelFor(ThreadPool* pool, int64_t n, const std::function<void(int64_t)>
   int fanout = static_cast<int>(std::min<int64_t>(pool->num_threads(), n));
   Latch done(fanout);
 
-  auto body = [&state, &fn, cancel, n, &done] {
-    while (!state.failed.load(std::memory_order_relaxed) &&
-           (cancel == nullptr || !cancel->cancelled())) {
+  auto body = [&state, &fn, n, &done] {
+    while (!state.failed.load(std::memory_order_relaxed)) {
       int64_t i = state.next.fetch_add(1, std::memory_order_relaxed);
       if (i >= n) break;
       try {

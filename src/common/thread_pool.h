@@ -5,8 +5,7 @@
 // candidate rule configurations and the cheapest plans are A/B-executed.
 // This header provides the small scheduling layer the reproduction uses to
 // fan that work out: a fixed-size ThreadPool, index-space ParallelFor /
-// ParallelMap helpers with deterministic result ordering, a Latch, and a
-// cooperative CancellationToken.
+// ParallelMap helpers with deterministic result ordering, and a Latch.
 //
 // Design constraints (why this is not a generic work-stealing scheduler):
 //  * All pipeline work units are index-addressable (candidate i, job i),
@@ -20,9 +19,9 @@
 //    instead of deadlocking (a worker blocking on a Latch that only other
 //    tasks of the same pool can open).
 //
-// Thread-safety: ThreadPool, Latch and CancellationToken are safe to share
-// across threads. ThreadPoolStats snapshots (see common/stats.h) are
-// internally consistent but not atomic across fields.
+// Thread-safety: ThreadPool and Latch are safe to share across threads.
+// ThreadPoolStats snapshots (see common/stats.h) are internally consistent
+// but not atomic across fields.
 #ifndef QSTEER_COMMON_THREAD_POOL_H_
 #define QSTEER_COMMON_THREAD_POOL_H_
 
@@ -39,18 +38,6 @@
 #include "common/thread_annotations.h"
 
 namespace qsteer {
-
-/// Cooperative cancellation: loop bodies and ParallelFor poll it between
-/// work items; a cancelled loop stops claiming new indices but never
-/// interrupts an item mid-flight.
-class CancellationToken {
- public:
-  void RequestCancel() { cancelled_.store(true, std::memory_order_relaxed); }
-  bool cancelled() const { return cancelled_.load(std::memory_order_relaxed); }
-
- private:
-  std::atomic<bool> cancelled_{false};
-};
 
 /// Single-use countdown latch (std::latch is C++20 but kept out of the hot
 /// path here for the trivial needs we have; this also lets us expose Wait
@@ -127,24 +114,21 @@ class ThreadPool {
 ///  * called from inside a task of the same pool (nesting would deadlock).
 ///
 /// Determinism contract: fn is invoked exactly once per index (unless an
-/// exception or cancellation stops the loop early); callers that write
-/// results to slot i of a pre-sized vector observe the same final state
-/// regardless of worker count or claim order.
+/// exception stops the loop early); callers that write results to slot i of
+/// a pre-sized vector observe the same final state regardless of worker
+/// count or claim order.
 ///
 /// The first exception thrown by any fn invocation is rethrown on the
 /// calling thread after all in-flight iterations finish; remaining indices
-/// are skipped. A cancelled token also stops new indices (no exception).
-void ParallelFor(ThreadPool* pool, int64_t n, const std::function<void(int64_t)>& fn,
-                 CancellationToken* cancel = nullptr);
+/// are skipped.
+void ParallelFor(ThreadPool* pool, int64_t n, const std::function<void(int64_t)>& fn);
 
 /// Deterministically-ordered map: out[i] = fn(i). Requires R to be default
-/// constructible (slots for skipped indices after cancellation stay default).
+/// constructible (the slots are sized before the loop runs).
 template <typename R>
-std::vector<R> ParallelMap(ThreadPool* pool, int64_t n, const std::function<R(int64_t)>& fn,
-                           CancellationToken* cancel = nullptr) {
+std::vector<R> ParallelMap(ThreadPool* pool, int64_t n, const std::function<R(int64_t)>& fn) {
   std::vector<R> out(static_cast<size_t>(n > 0 ? n : 0));
-  ParallelFor(
-      pool, n, [&](int64_t i) { out[static_cast<size_t>(i)] = fn(i); }, cancel);
+  ParallelFor(pool, n, [&](int64_t i) { out[static_cast<size_t>(i)] = fn(i); });
   return out;
 }
 

@@ -69,8 +69,16 @@ uint64_t SteeringPipeline::CandidateNonce(const RuleConfig& config) const {
   return HashCombine(options_.seed, config.Hash());
 }
 
-Result<CompiledPlan> SteeringPipeline::CompileWithRetry(const Job& job, const RuleConfig& config,
-                                                        CompileSession* session) const {
+Result<CompiledPlan> SteeringPipeline::CompileJob(const Job& job, const RuleConfig& config,
+                                                  const CompileCache::Key& key,
+                                                  CompileSession* session) const {
+  if (cache_ != nullptr) {
+    // A hit skips the failure counters, cached permanent failures included:
+    // those counters track compilation *work*, and a hit does none.
+    if (std::optional<Result<CompiledPlan>> cached = cache_->Lookup(key)) {
+      return std::move(*cached);
+    }
+  }
   CompileControl control;
   control.timeout_s = options_.compile_timeout_s;
   auto attempt_compile = [&](int attempt) -> Result<CompiledPlan> {
@@ -104,27 +112,14 @@ Result<CompiledPlan> SteeringPipeline::CompileWithRetry(const Job& job, const Ru
       ctr_compile_failures_.fetch_add(1, std::memory_order_relaxed);
     }
   }
-  return plan;
-}
-
-Result<CompiledPlan> SteeringPipeline::CompileViaCache(const Job& job, const RuleConfig& config,
-                                                       const CompileCache::Key& key,
-                                                       CompileSession* session) const {
-  if (cache_ == nullptr) return CompileWithRetry(job, config, session);
-  if (std::optional<Result<CompiledPlan>> cached = cache_->Lookup(key)) {
-    // Cached permanent failures skip the failure counters: those counters
-    // track compilation *work*, and a hit does none.
-    return std::move(*cached);
-  }
-  Result<CompiledPlan> plan = CompileWithRetry(job, config, session);
-  cache_->Insert(key, plan);
+  if (cache_ != nullptr) cache_->Insert(key, plan);
   return plan;
 }
 
 Result<CompiledPlan> SteeringPipeline::CompileCached(const Job& job,
                                                      const RuleConfig& config) const {
-  return CompileViaCache(job, config, CompileCache::Key{JobFingerprint(job), config.bits()},
-                         /*session=*/nullptr);
+  return CompileJob(job, config, CompileCache::Key{JobFingerprint(job), config.bits()},
+                    /*session=*/nullptr);
 }
 
 CompileCacheStats SteeringPipeline::compile_cache_stats() const {
@@ -187,18 +182,18 @@ JobAnalysis SteeringPipeline::Recompile(const Job& job) const {
   // recurring instances of this job collapse to one cache entry.
   const uint64_t fingerprint = JobFingerprint(job);
   CompileSession session;
+  auto compile_full_bits = [&](const RuleConfig& config) {
+    return CompileJob(job, config, CompileCache::Key{fingerprint, config.bits()}, &session);
+  };
 
-  Result<CompiledPlan> default_plan = CompileViaCache(
-      job, RuleConfig::Default(), CompileCache::Key{fingerprint, RuleConfig::Default().bits()},
-      &session);
+  Result<CompiledPlan> default_plan = compile_full_bits(RuleConfig::Default());
   if (!default_plan.ok()) {
     // The default configuration always compiles for generated workloads;
     // return an empty analysis defensively.
     return analysis;
   }
   analysis.default_plan = std::move(default_plan.value());
-  CachingCompiler span_compiler(optimizer_, cache_.get(), &session, fingerprint);
-  analysis.span = ComputeJobSpan(*optimizer_, job, SpanOptions{}, &span_compiler);
+  analysis.span = ComputeJobSpan(*optimizer_, job, SpanOptions{}, compile_full_bits);
 
   ConfigSearchOptions search = options_.search;
   search.max_configs = options_.max_candidate_configs;
@@ -278,7 +273,7 @@ JobAnalysis SteeringPipeline::Recompile(const Job& job) const {
         // the projection is a complete identity for them (paper §4), and
         // recurring instances of this job hit the same entries.
         CompileCache::Key key{fingerprint, ProjectConfig(config, analysis.span.span)};
-        Result<CompiledPlan> plan = CompileViaCache(job, config, key, &session);
+        Result<CompiledPlan> plan = CompileJob(job, config, key, &session);
         if (!plan.ok()) {
           // Transient exhaustion (deadline or unavailable) is a drop, not a
           // configuration property; permanent failures count separately.

@@ -33,8 +33,6 @@ struct PipelineOptions {
   /// longer ones too expensive to re-execute (§5.3: 5 minutes to 1 hour).
   double min_runtime_s = 300.0;
   double max_runtime_s = 3600.0;
-  /// "Clearly cheaper" threshold for the cheaper-plans heuristic (§6.1).
-  double cheaper_cost_ratio = 0.7;
   /// Low-cost/high-runtime heuristic thresholds (Fig. 5's top-left corner):
   /// estimated cost below this quantile and runtime above this quantile.
   double low_cost_quantile = 0.4;
@@ -54,9 +52,10 @@ struct PipelineOptions {
   /// hash(base nonce, attempt), so retries stay order- and
   /// thread-independent.
   RetryPolicy retry;
-  /// Wall-clock budget per candidate compilation; <= 0 = unlimited. A
-  /// compilation that exceeds it returns kDeadlineExceeded and is retried
-  /// under `retry` before the candidate is dropped.
+  /// Wall-clock budget per compilation (default, span probe, candidate or
+  /// CompileCached); <= 0 = unlimited. A compilation that exceeds it returns
+  /// kDeadlineExceeded and is retried under `retry` before it counts as
+  /// failed.
   double compile_timeout_s = 0.0;
   /// Compile-cache budget in MiB (the --compile-cache-mb knob); <= 0
   /// disables caching entirely. Entries are keyed by hash(job fingerprint,
@@ -183,13 +182,11 @@ class SteeringPipeline {
   ThreadPoolStats pool_stats() const;
 
   /// Compiles a job under `config` through the compile cache (full-bits key:
-  /// no span projection, always sound). This is the serving-path entry point
-  /// — SteeringService and the CLI use it so recurring requests skip
-  /// recompilation. Identical to CompileWithRetry when caching is disabled.
+  /// no span projection, always sound), with the timeout, retries and
+  /// failure counters of every other pipeline compile. This is the
+  /// serving-path entry point — SteeringService and the CLI use it so
+  /// recurring requests skip recompilation.
   Result<CompiledPlan> CompileCached(const Job& job, const RuleConfig& config) const;
-
-  /// The compile cache (nullptr when compile_cache_mb <= 0).
-  CompileCache* compile_cache() const { return cache_.get(); }
 
   /// Cache counters (zeroed stats when caching is disabled).
   CompileCacheStats compile_cache_stats() const;
@@ -283,19 +280,16 @@ class SteeringPipeline {
   /// the candidate's configuration only (order- and thread-independent).
   uint64_t CandidateNonce(const RuleConfig& config) const;
 
-  /// Compiles under options().compile_timeout_s, retrying transient
-  /// deadline misses per options().retry. Permanent kCompilationFailed
-  /// results are never retried (the same config always fails the same way).
-  /// `session` (may be null) shares per-job artifacts across compiles.
-  Result<CompiledPlan> CompileWithRetry(const Job& job, const RuleConfig& config,
-                                        CompileSession* session = nullptr) const;
-
-  /// CompileWithRetry behind a cache lookup/insert on `key`. Cached results
-  /// are bit-identical to fresh compiles; transient timeouts are never
-  /// cached. Equivalent to plain CompileWithRetry when caching is disabled.
-  Result<CompiledPlan> CompileViaCache(const Job& job, const RuleConfig& config,
-                                       const CompileCache::Key& key,
-                                       CompileSession* session) const;
+  /// Every compile the pipeline runs (default, span probes, candidates and
+  /// CompileCached) comes through here: a cache lookup on `key`, then on a
+  /// miss the compile under options().compile_timeout_s, retrying transient
+  /// failures per options().retry, then an insert. Permanent
+  /// kCompilationFailed results are never retried (the same config always
+  /// fails the same way); transient ones are never cached. Cached results
+  /// are bit-identical to fresh compiles. `session` (may be null) shares
+  /// per-job artifacts across compiles.
+  Result<CompiledPlan> CompileJob(const Job& job, const RuleConfig& config,
+                                  const CompileCache::Key& key, CompileSession* session) const;
 
   const Optimizer* optimizer_;
   const ExecutionSimulator* simulator_;

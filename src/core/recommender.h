@@ -150,8 +150,8 @@ class SteeringRecommender {
 
   /// Pure snapshot of every group's current serving decision (signatures
   /// absent from the store are implicitly "serve the default" and need no
-  /// row). The durable store publishes these as an RCU view so serving-path
-  /// lookups bypass its mutex entirely.
+  /// row). The durable store publishes these as an immutable view so
+  /// serving-path lookups bypass its mutex.
   std::vector<SnapshotEntry> SnapshotRecommendations() const;
 
   /// Guardrail: report the observed runtime change of a recommended run

@@ -1,17 +1,14 @@
 #include "core/span.h"
 
-#include "optimizer/compile_cache.h"
-
 namespace qsteer {
 
 SpanResult ComputeJobSpan(const Optimizer& optimizer, const Job& job,
-                          const SpanOptions& options, const CachingCompiler* compiler) {
+                          const SpanOptions& options, const SpanCompileFn& compile) {
   SpanResult result;
   RuleConfig config = RuleConfig::AllEnabled();
 
   for (int iter = 0; iter < options.max_iterations; ++iter) {
-    Result<CompiledPlan> plan = compiler != nullptr ? compiler->Compile(job, config)
-                                                    : optimizer.Compile(job, config);
+    Result<CompiledPlan> plan = compile ? compile(config) : optimizer.Compile(job, config);
     if (!plan.ok()) {
       result.ended_on_compile_failure = true;
       break;

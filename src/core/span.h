@@ -5,11 +5,14 @@
 #ifndef QSTEER_CORE_SPAN_H_
 #define QSTEER_CORE_SPAN_H_
 
+#include <functional>
+
 #include "optimizer/optimizer.h"
 
 namespace qsteer {
 
-class CachingCompiler;
+/// Compiles the span loop's job under one configuration.
+using SpanCompileFn = std::function<Result<CompiledPlan>(const RuleConfig& config)>;
 
 struct SpanResult {
   /// Non-required rules that can impact the final plan.
@@ -35,12 +38,14 @@ struct SpanOptions {
 /// rules"), repeatedly removes the signature's on-rules, and recompiles
 /// until no new rules appear or compilation fails.
 ///
-/// When `compiler` is non-null, loop compiles go through it — reusing the
-/// job's compile-cache entries and seed memo (the span loop probes full
-/// configurations, so its cache keys are full-bits and always sound).
+/// Each probe compiles through `compile`, or through
+/// `optimizer.Compile(job, config)` when it is null. The pipeline passes its
+/// own compile path, so probes share the job's compile-cache entries (keyed
+/// by the full configuration bits, always sound), its seed memo, and the
+/// pipeline's timeout, retries and failure counters.
 SpanResult ComputeJobSpan(const Optimizer& optimizer, const Job& job,
                           const SpanOptions& options = {},
-                          const CachingCompiler* compiler = nullptr);
+                          const SpanCompileFn& compile = nullptr);
 
 }  // namespace qsteer
 

@@ -39,7 +39,6 @@ struct MlpOptions {
   int hidden = 64;
   double learning_rate = 1e-3;
   int epochs = 200;
-  int batch_size = 16;
   uint64_t seed = 1;
   /// Early-stop patience on validation loss (0 disables).
   int patience = 25;

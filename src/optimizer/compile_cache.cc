@@ -88,7 +88,7 @@ void CompileCache::Insert(const Key& key, const Result<CompiledPlan>& result) {
   if (per_shard_capacity_ <= 0) return;
   // Only deterministic outcomes are cacheable: a successful plan, or the
   // permanent "configuration cannot cover some operator" failure. Timeouts
-  // and cancellations depend on load, not on the key.
+  // and an unavailable compile tier depend on load, not on the key.
   if (!result.ok() && result.status().code() != StatusCode::kCompilationFailed) return;
 
   const uint64_t hash = key.Hash();
@@ -301,19 +301,6 @@ uint64_t JobFingerprint(const Job& job) {
 
 BitVector256 ProjectConfig(const RuleConfig& config, const BitVector256& span) {
   return config.bits().And(span);
-}
-
-Result<CompiledPlan> CachingCompiler::Compile(const Job& job, const RuleConfig& config) const {
-  if (cache_ == nullptr) {
-    return optimizer_->Compile(job, config, CompileControl{}, session_);
-  }
-  CompileCache::Key key{fingerprint_, config.bits()};
-  if (std::optional<Result<CompiledPlan>> cached = cache_->Lookup(key)) {
-    return std::move(*cached);
-  }
-  Result<CompiledPlan> result = optimizer_->Compile(job, config, CompileControl{}, session_);
-  cache_->Insert(key, result);
-  return result;
 }
 
 }  // namespace qsteer

@@ -162,29 +162,6 @@ uint64_t JobFingerprint(const Job& job);
 /// plans (paper §4).
 BitVector256 ProjectConfig(const RuleConfig& config, const BitVector256& span);
 
-/// Pairs an optimizer with an optional compile cache and per-job compile
-/// session — one per job analysis, shared by the span loop and any other
-/// full-configuration compiles of that job. Null cache/session degrade to a
-/// plain Optimizer::Compile.
-class CachingCompiler {
- public:
-  CachingCompiler(const Optimizer* optimizer, CompileCache* cache, CompileSession* session,
-                  uint64_t job_fingerprint)
-      : optimizer_(optimizer),
-        cache_(cache),
-        session_(session),
-        fingerprint_(job_fingerprint) {}
-
-  /// Compiles under the full-configuration key (no span projection).
-  Result<CompiledPlan> Compile(const Job& job, const RuleConfig& config) const;
-
- private:
-  const Optimizer* optimizer_;
-  CompileCache* cache_;
-  CompileSession* session_;
-  uint64_t fingerprint_;
-};
-
 }  // namespace qsteer
 
 #endif  // QSTEER_OPTIMIZER_COMPILE_CACHE_H_

@@ -51,12 +51,7 @@ class CompileState {
     winners_.reserve(static_cast<size_t>(memo_.num_groups()));
     PhysProp any = PhysProp::Any();
     const int winner = OptimizeGroup(root, any);
-    if (aborted_) {
-      return Status::DeadlineExceeded(control_.cancel != nullptr &&
-                                              control_.cancel->cancelled()
-                                          ? "compilation cancelled"
-                                          : "compile deadline exceeded");
-    }
+    if (aborted_) return Status::DeadlineExceeded("compile deadline exceeded");
     if (!Feasible(winner)) {
       return Status::CompilationFailed(
           "no complete physical plan under this rule configuration");
@@ -99,15 +94,11 @@ class CompileState {
   // Compile budget
   // ---------------------------------------------------------------------
 
-  /// Polled between memo operations. The cancellation token is a relaxed
-  /// atomic load (checked every call); the wall clock is only consulted
-  /// every 64 polls to keep the unbudgeted hot path unchanged.
+  /// Polled between memo operations. The wall clock is only consulted
+  /// under a timeout, and then every 64 polls, to keep the unbudgeted hot
+  /// path unchanged.
   bool Aborted() {
     if (aborted_) return true;
-    if (control_.Unbounded()) return false;
-    if (control_.cancel != nullptr && control_.cancel->cancelled()) {
-      return aborted_ = true;
-    }
     if (control_.timeout_s > 0.0 && (poll_count_++ & 63) == 0 &&
         // qsteer-lint: allow(wall-clock) deadline poll; only reached when the caller opted into a timeout
         std::chrono::steady_clock::now() >= deadline_) {
@@ -1085,15 +1076,6 @@ RuleConfig ProductionConfig(const Job& job) {
 
 Optimizer::Optimizer(const Catalog* catalog, OptimizerOptions options)
     : catalog_(catalog), options_(options) {}
-
-Result<CompiledPlan> Optimizer::Compile(const Job& job, const RuleConfig& config) const {
-  return Compile(job, config, CompileControl{});
-}
-
-Result<CompiledPlan> Optimizer::Compile(const Job& job, const RuleConfig& config,
-                                        const CompileControl& control) const {
-  return Compile(job, config, control, /*session=*/nullptr);
-}
 
 Result<CompiledPlan> Optimizer::Compile(const Job& job, const RuleConfig& config,
                                         const CompileControl& control,

@@ -19,7 +19,6 @@
 #include "common/mutex.h"
 #include "common/status.h"
 #include "common/thread_annotations.h"
-#include "common/thread_pool.h"
 #include "optimizer/cost_model.h"
 #include "optimizer/memo.h"
 #include "optimizer/rule_config.h"
@@ -56,20 +55,15 @@ struct CompiledPlan {
 /// customer's rule hints (§3.3).
 RuleConfig ProductionConfig(const Job& job);
 
-/// Compile-time budget: a cooperative cancellation token and/or a wall-clock
-/// deadline. Both are polled between memo operations, so a pathological
-/// exploration (huge DAG under an adversarial configuration) returns
-/// kDeadlineExceeded instead of hanging the caller. Default-constructed
-/// control imposes no budget.
+/// Compile-time budget: a wall-clock deadline, polled between memo
+/// operations, so a pathological exploration (huge DAG under an adversarial
+/// configuration) returns kDeadlineExceeded instead of hanging the caller.
+/// Default-constructed control imposes no budget.
 struct CompileControl {
-  /// Cooperative cancellation (e.g., superseded work in a service loop).
-  const CancellationToken* cancel = nullptr;
   /// Wall-clock compile budget in seconds; <= 0 means unlimited. Note a
   /// wall-clock budget is inherently nondeterministic under load — use it in
   /// services, not in bit-reproducibility tests.
   double timeout_s = 0.0;
-
-  bool Unbounded() const { return cancel == nullptr && timeout_s <= 0.0; }
 };
 
 /// Shares per-job compile artifacts across the many compiles of one job
@@ -125,7 +119,15 @@ class Optimizer {
 
   /// Compiles a job under a rule configuration. Fails with
   /// kCompilationFailed when the enabled implementation rules cannot cover
-  /// some operator (the paper's "many configurations do not compile").
+  /// some operator (the paper's "many configurations do not compile"), and
+  /// with kDeadlineExceeded when `control`'s wall-clock budget expires
+  /// before optimization finishes (checked between memo operations; a
+  /// compilation never hangs on pathological memo growth).
+  ///
+  /// `session` (may be null) shares per-job artifacts: its seed memo skips
+  /// re-normalizing and re-inserting the input plan when another compile of
+  /// the same job already did so under the same normalization projection.
+  /// The result is bit-identical to a sessionless compile.
   ///
   /// Safe to call concurrently from multiple threads (see class comment).
   /// Deterministic: the same (job, config) yields a bit-identical plan no
@@ -134,22 +136,9 @@ class Optimizer {
   /// every call, so the returned plan must be interpreted against
   /// job.columns (ids beyond its size resolve to the canonical derived-
   /// column descriptor — plan/column.h).
-  Result<CompiledPlan> Compile(const Job& job, const RuleConfig& config) const;
-
-  /// As above, under a compile budget: returns kDeadlineExceeded when the
-  /// control's token is cancelled or its wall-clock budget expires before
-  /// optimization finishes (checked between memo operations; a compilation
-  /// never hangs on pathological memo growth).
   Result<CompiledPlan> Compile(const Job& job, const RuleConfig& config,
-                               const CompileControl& control) const;
-
-  /// As above, sharing per-job artifacts through `session` (may be null).
-  /// The session's seed memo skips re-normalizing and re-inserting the
-  /// input plan when another compile of the same job already did so under
-  /// the same normalization projection; the result is bit-identical to a
-  /// sessionless compile.
-  Result<CompiledPlan> Compile(const Job& job, const RuleConfig& config,
-                               const CompileControl& control, CompileSession* session) const;
+                               const CompileControl& control = {},
+                               CompileSession* session = nullptr) const;
 
   const OptimizerOptions& options() const { return options_; }
   const Catalog* catalog() const { return catalog_; }

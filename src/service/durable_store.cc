@@ -213,7 +213,7 @@ void DurableRecommenderStore::PublishViewLocked() {
     RuleSignature signature = row.signature;
     view->rows.emplace(signature, std::move(row));
   }
-  view_.store(std::move(view), std::memory_order_release);
+  view_.Store(std::move(view));
 }
 
 SteeringRecommender::Recommendation DurableRecommenderStore::RecommendFast(
@@ -332,7 +332,7 @@ SteeringRecommender::Recommendation DurableRecommenderStore::Recommend(
 
 bool DurableRecommenderStore::TryRecommendPure(
     const RuleSignature& signature, SteeringRecommender::Recommendation* out) const {
-  std::shared_ptr<const RecommendationView> view = view_.load(std::memory_order_acquire);
+  std::shared_ptr<const RecommendationView> view = view_.Load();
   if (view == nullptr) return false;
   auto it = view->rows.find(signature);
   if (it == view->rows.end()) {

@@ -108,15 +108,15 @@ class DurableRecommenderStore {
 
   /// Serving-path Recommend: consults a read-mostly snapshot of the
   /// recommendation table (an immutable view republished after every store
-  /// mutation and swapped in with one atomic shared_ptr exchange), so the
+  /// mutation and swapped in through a SharedPtrSlot), so the
   /// overwhelmingly common pure lookups — unknown signatures and closed/
   /// half-open groups — never touch mu_. Lookups that must mutate (an open
   /// breaker's cooldown tick) fall through to the journaled Recommend().
   /// Returns exactly what Recommend(signature) would.
   SteeringRecommender::Recommendation RecommendFast(const RuleSignature& signature);
 
-  /// How many RecommendFast calls were served lock-free from the snapshot
-  /// vs. routed to the locked, journaled path.
+  /// How many RecommendFast calls were served from the snapshot view
+  /// (without mu_) vs. routed to the locked, journaled path.
   int64_t fast_recommends() const { return fast_recommends_.load(std::memory_order_relaxed); }
   int64_t locked_recommends() const {
     return locked_recommends_.load(std::memory_order_relaxed);
@@ -124,7 +124,7 @@ class DurableRecommenderStore {
 
   // ---- Replication seam (leader/follower fleet, src/service/replication.h) ----
 
-  /// Pure lookup off the lock-free serving view: succeeds (and fills *out)
+  /// Pure lookup off the published serving view: succeeds (and fills *out)
   /// for unknown signatures and non-mutating rows; returns false when the
   /// lookup would have to mutate the store (open-breaker cooldown tick) or
   /// the view is unpublished. Followers serve reads through this — a tick
@@ -201,8 +201,9 @@ class DurableRecommenderStore {
 
  private:
   /// Immutable serving view: every store group's current recommendation.
-  /// Published with an atomic shared_ptr swap (RCU: readers pin the old view
-  /// with a refcount; no reader ever blocks a writer or vice versa).
+  /// Published through a SharedPtrSlot: readers copy the pointer out under
+  /// the slot's short lock and pin the view with its refcount, so a lookup
+  /// never waits on the store mutex or on a writer rebuilding the view.
   struct RecommendationView {
     std::unordered_map<RuleSignature, SteeringRecommender::SnapshotEntry, BitVector256Hasher>
         rows;
@@ -217,9 +218,10 @@ class DurableRecommenderStore {
   DurableStoreOptions options_;
   mutable Mutex mu_;
   SteeringRecommender recommender_ GUARDED_BY(mu_);
-  /// Lock-free serving view (RCU). Published only under mu_ but read without
-  /// it: the shared_ptr swap is the release point, and views are immutable.
-  std::atomic<std::shared_ptr<const RecommendationView>> view_;
+  /// Serving view. Published only under mu_ but read without it: the slot
+  /// orders each publish before the reads that follow, and views are
+  /// immutable.
+  SharedPtrSlot<const RecommendationView> view_;
   mutable std::atomic<int64_t> fast_recommends_{0};
   mutable std::atomic<int64_t> locked_recommends_{0};
   /// Journal-then-apply: every append happens under the same critical

@@ -77,7 +77,7 @@ Status ReplicaNode::Open() {
   store->SetMutationListener([this](uint64_t seq, const std::string& payload) {
     log_.Append(seq, payload);
   });
-  store_.store(std::move(store), std::memory_order_release);
+  store_.Store(std::move(store));
   return Status::OK();
 }
 

@@ -96,7 +96,7 @@ class ReplicationLog {
 /// the transport endpoint that decodes TAIL/SNAP frames.
 ///
 /// Kill/restart semantics: Kill only marks the node dead — the store
-/// object survives so in-flight lock-free readers stay safe (they hold a
+/// object survives so in-flight readers stay safe (they hold a
 /// shared_ptr to it). Restart swaps in a fresh store recovered from the
 /// same directory, which is exactly a process crash + reopen.
 class ReplicaNode : public TransportEndpoint {
@@ -114,11 +114,9 @@ class ReplicaNode : public TransportEndpoint {
   Status Deliver(std::string_view payload) override;
 
   uint32_t id() const { return id_; }
-  /// Never null after a successful Open(); lock-free to load so serving
-  /// threads can read through it during churn.
-  std::shared_ptr<DurableRecommenderStore> store() const {
-    return store_.load(std::memory_order_acquire);
-  }
+  /// Never null after a successful Open(). Copied out under the slot's
+  /// short lock, so serving threads can read through it during churn.
+  std::shared_ptr<DurableRecommenderStore> store() const { return store_.Load(); }
   uint64_t watermark() const;
 
   uint64_t epoch_synced() const { return epoch_synced_.load(std::memory_order_acquire); }
@@ -147,7 +145,7 @@ class ReplicaNode : public TransportEndpoint {
  private:
   const uint32_t id_;
   DurableStoreOptions store_options_;
-  std::atomic<std::shared_ptr<DurableRecommenderStore>> store_;
+  SharedPtrSlot<DurableRecommenderStore> store_;
   ReplicationLog log_;
   std::atomic<uint64_t> epoch_synced_{0};
   std::atomic<bool> alive_{false};

@@ -52,6 +52,7 @@ std::string ServiceStatusSnapshot::ToString() const {
       << " abandoned=" << reanalyses_abandoned << '\n'
       << "compile_cache: " << cache.ToString() << '\n'
       << "budget: " << budget.ToString() << '\n'
+      << "failures: " << failures.ToString() << '\n'
       << "recommend_serves: snapshot=" << rec_snapshot_serves
       << " locked=" << rec_locked_serves << '\n';
   return out.str();
@@ -199,7 +200,8 @@ void SteeringService::ProcessRequest(QueueItem item) {
   reply.default_runtime_s = default_metrics.runtime;
   reply.served_runtime_s = default_metrics.runtime;
 
-  // Lock-free for the common pure lookups; open-breaker ticks still journal.
+  // The common pure lookups skip the store mutex; open-breaker ticks still
+  // journal.
   SteeringRecommender::Recommendation rec =
       store_.RecommendFast(default_plan.value().signature);
   if (!rec.is_default) {
@@ -388,6 +390,7 @@ ServiceStatusSnapshot SteeringService::status() const {
   snapshot.pending_validation = store_.num_pending_validation();
   snapshot.cache = pipeline_.compile_cache_stats();
   snapshot.budget = pipeline_.budget_stats();
+  snapshot.failures = pipeline_.failure_stats();
   snapshot.rec_snapshot_serves = store_.fast_recommends();
   snapshot.rec_locked_serves = store_.locked_recommends();
   {

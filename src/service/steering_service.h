@@ -152,9 +152,13 @@ struct ServiceStatusSnapshot {
   /// The pipeline's compile cache, which the serving path compiles through;
   /// warm_loaded/warm_rejected report the Start() warm load.
   CompileCacheStats cache;
-  /// Candidate generation of the re-analysis worker's analyses.
+  /// Candidate generation of every analysis run on the service's pipeline:
+  /// the re-analysis worker's and any a caller runs through pipeline().
   SteeringPipeline::BudgetStats budget;
-  // Recommendation-table serving split: snapshot (lock-free) vs locked.
+  /// Failure counters of the service's pipeline: every compile it runs
+  /// (serving, validation, analyses) and every execution.
+  PipelineFailureStats failures;
+  // Recommendation-table serving split: snapshot view vs locked path.
   int64_t rec_snapshot_serves = 0;
   int64_t rec_locked_serves = 0;
 

@@ -1,7 +1,7 @@
 // Tests of the span-keyed compile cache and its pipeline/service plumbing:
 // bit-identity with caching on vs off (the non-negotiable invariant), LRU
 // eviction under a tiny budget, span-projection candidate dedup, seed-memo
-// session equivalence, concurrent access, and the durable store's lock-free
+// session equivalence, concurrent access, and the durable store's published
 // recommendation snapshot.
 #include "optimizer/compile_cache.h"
 
@@ -586,12 +586,12 @@ TEST(RecommendFast, MatchesLockedRecommendAndCountsServes) {
   observation.improvement_pct = -25.0;
   ASSERT_TRUE(store.LearnCandidate(observation));
 
-  // Known adopted group: fast path must serve the stored config lock-free.
+  // Known adopted group: fast path must serve the stored config from the view.
   SteeringRecommender::Recommendation fast = store.RecommendFast(known);
   EXPECT_FALSE(fast.is_default);
   EXPECT_EQ(fast.config.Hash(), RuleConfig::AllEnabled().Hash());
   EXPECT_EQ(fast.expected_improvement_pct, -25.0);
-  // Unknown group: pure default, also lock-free.
+  // Unknown group: pure default, also from the view.
   EXPECT_TRUE(store.RecommendFast(unknown).is_default);
   EXPECT_EQ(store.fast_recommends(), 2);
   EXPECT_EQ(store.locked_recommends(), 0);

@@ -477,7 +477,7 @@ TEST(FleetTest, ValidationGateReportsThroughTheLeader) {
 
 TEST(FleetTest, ConcurrentServesSurviveChurn) {
   // Serving threads hammer the fleet while the main thread kills and
-  // restarts replicas — the lock-free read path and the topology mutex
+  // restarts replicas — the snapshot-view read path and the topology mutex
   // must coexist without races (this is the TSan target).
   TempDir dir;
   ReplicationFleet fleet(Options(dir.path()));

@@ -212,5 +212,46 @@ TEST_F(PipelineTest, UnavailableExhaustionFailsStopNeverWrongPlans) {
   EXPECT_EQ(stats.compile_failures, 0) << "kUnavailable is not a permanent failure";
 }
 
+TEST_F(PipelineTest, EveryCompileConsultsTheFaultHook) {
+  // With the cache off, each compile Recompile runs (the default, every span
+  // probe and every candidate) goes through the one compile path, so the
+  // test fault hook sees each exactly once.
+  int calls = 0;
+  PipelineOptions options = Options();
+  options.compile_cache_mb = 0;
+  options.compile_fault_for_testing = [&calls](const Job&, int) {
+    ++calls;
+    return Status::OK();
+  };
+  SteeringPipeline pipeline(&optimizer_, &simulator_, options);
+  JobAnalysis analysis = pipeline.Recompile(workload_.MakeJob(0, 1));
+
+  ASSERT_NE(analysis.default_plan.root, nullptr);
+  const int span_compiles =
+      analysis.span.iterations + (analysis.span.ended_on_compile_failure ? 1 : 0);
+  EXPECT_GT(span_compiles, 0);
+  EXPECT_EQ(calls, 1 + span_compiles + analysis.candidates_compiled);
+}
+
+TEST_F(PipelineTest, SpanProbeCompileFailureIsCounted) {
+  // A span loop that ends on a configuration that does not compile adds one
+  // permanent failure to the pipeline's counters, beside the candidates'.
+  Job job;
+  bool found = false;
+  for (int t = 0; t < Spec().num_templates && !found; ++t) {
+    job = workload_.MakeJob(t, 1);
+    found = ComputeJobSpan(optimizer_, job).ended_on_compile_failure;
+  }
+  ASSERT_TRUE(found) << "no job in the workload ends its span on a compile failure";
+  PipelineOptions options = Options();
+  options.compile_cache_mb = 0;
+  SteeringPipeline pipeline(&optimizer_, &simulator_, options);
+  JobAnalysis analysis = pipeline.Recompile(job);
+
+  ASSERT_NE(analysis.default_plan.root, nullptr);
+  ASSERT_TRUE(analysis.span.ended_on_compile_failure);
+  EXPECT_EQ(pipeline.failure_stats().compile_failures, analysis.compile_failures + 1);
+}
+
 }  // namespace
 }  // namespace qsteer

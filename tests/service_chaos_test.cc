@@ -582,11 +582,13 @@ TEST(SteeringServiceTest, ServesRequestsAndShutsDownCleanly) {
     const std::string cache = service.pipeline().compile_cache_stats().ToString();
     const std::string budget = service.pipeline().budget_stats().ToString();
     const std::string recovery = service.store().recovery().ToString();
+    const std::string failures = service.pipeline().failure_stats().ToString();
     EXPECT_EQ(status.cache.ToString(), cache);
     EXPECT_EQ(status.budget.ToString(), budget);
     EXPECT_EQ(status.recovery.ToString(), recovery);
+    EXPECT_EQ(status.failures.ToString(), failures);
     const std::string text = status.ToString();
-    for (const std::string& part : {cache, budget, recovery}) {
+    for (const std::string& part : {cache, budget, recovery, failures}) {
       size_t at = text.find(part);
       ASSERT_NE(at, std::string::npos) << part;
       EXPECT_EQ(text.find(part, at + 1), std::string::npos) << part;

@@ -1,6 +1,6 @@
 // Unit tests of the task-scheduling layer (common/thread_pool.h): result
-// ordering, exception propagation, serial fallbacks, nesting, cancellation,
-// and the counters surfaced through ThreadPoolStats.
+// ordering, exception propagation, serial fallbacks, nesting, and the
+// counters surfaced through ThreadPoolStats.
 #include "common/thread_pool.h"
 
 #include <gtest/gtest.h>
@@ -113,29 +113,6 @@ TEST(ParallelFor, ExceptionSkipsRemainingIndices) {
   EXPECT_LT(ran.load(), 100000);
 }
 
-TEST(ParallelFor, CancellationStopsClaimingNewIndices) {
-  ThreadPool pool(2);
-  CancellationToken cancel;
-  std::atomic<int> ran{0};
-  ParallelFor(&pool, 100000, [&](int64_t i) {
-    ran.fetch_add(1);
-    if (i == 10) cancel.RequestCancel();
-  });
-  // Without the token the loop ignores cancellation.
-  EXPECT_EQ(ran.load(), 100000);
-
-  ran.store(0);
-  CancellationToken cancel2;
-  ParallelFor(
-      &pool, 100000,
-      [&](int64_t i) {
-        ran.fetch_add(1);
-        if (i >= 10) cancel2.RequestCancel();
-      },
-      &cancel2);
-  EXPECT_LT(ran.load(), 100000);  // stopped early, no exception
-}
-
 TEST(ParallelFor, NestedCallOnSamePoolRunsInlineWithoutDeadlock) {
   ThreadPool pool(2);
   std::atomic<int> inner_total{0};
@@ -145,21 +122,6 @@ TEST(ParallelFor, NestedCallOnSamePoolRunsInlineWithoutDeadlock) {
     ParallelFor(&pool, 16, [&](int64_t) { inner_total.fetch_add(1); });
   });
   EXPECT_EQ(inner_total.load(), 4 * 16);
-}
-
-TEST(ParallelMap, CancelledSlotsStayDefault) {
-  ThreadPool pool(1);  // inline execution makes the cutoff deterministic
-  CancellationToken cancel;
-  std::vector<int> out = ParallelMap<int>(
-      &pool, 10,
-      [&](int64_t i) {
-        if (i == 4) cancel.RequestCancel();
-        return static_cast<int>(i) + 1;
-      },
-      &cancel);
-  ASSERT_EQ(out.size(), 10u);
-  for (int i = 0; i <= 4; ++i) EXPECT_EQ(out[static_cast<size_t>(i)], i + 1);
-  for (int i = 5; i < 10; ++i) EXPECT_EQ(out[static_cast<size_t>(i)], 0);
 }
 
 TEST(Latch, WaitsForAllCountDowns) {

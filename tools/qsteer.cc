@@ -602,7 +602,6 @@ int CmdServe(int argc, char** argv) {
   SimulatorOptions sim_options;
   sim_options.fault_profile = FaultProfile::Flaky(fault_level);
   ExecutionSimulator simulator(&workload.catalog(), sim_options);
-  SteeringPipeline pipeline(&optimizer, &simulator, {});
 
   ServiceOptions service_options;
   service_options.num_workers = flags.workers;
@@ -635,20 +634,22 @@ int CmdServe(int argc, char** argv) {
   }
 
   // Day 1 offline: learn candidates (journaled through the durable store)
-  // and keep one base job per group for the validation re-runs.
+  // and keep one base job per group for the validation re-runs. Analyses
+  // run on the service's pipeline, so its compile cache and counters see
+  // them too.
   std::unordered_map<std::string, Job> group_rep;
-  int candidates = 0, analyzed = 0;
+  int learn_events = 0, analyzed = 0;
   for (const Job& job : workload.JobsForDay(1)) {
     if (analyzed >= 30) break;
     ++analyzed;
-    JobAnalysis analysis = pipeline.AnalyzeJob(job);
+    JobAnalysis analysis = service.pipeline().AnalyzeJob(job);
     if (service.store().LearnFromAnalysis(analysis)) {
-      ++candidates;
+      ++learn_events;
       group_rep.emplace(analysis.default_plan.signature.ToHexString(), job);
     }
   }
-  std::printf("day 1 offline: %d analyzed, %d groups with candidates\n", analyzed,
-              candidates);
+  std::printf("day 1 offline: %d analyzed, %d learn events, %d groups\n", analyzed,
+              learn_events, service.store().num_groups());
 
   // Validation gate: candidates must survive clean re-runs before serving.
   // qsteer-lint: allow(unchecked-status) reports go to the store, which cannot fail them
@@ -698,8 +699,7 @@ int CmdServe(int argc, char** argv) {
     std::fprintf(stderr, "qsteer serve: final snapshot failed: %s\n",
                  stopped.ToString().c_str());
   }
-  std::printf("%soffline pipeline failures: %s\n", service.status().ToString().c_str(),
-              pipeline.failure_stats().ToString().c_str());
+  std::printf("%s", service.status().ToString().c_str());
   return 0;
 }
 
@@ -806,7 +806,7 @@ int CmdServeFleet(int argc, char** argv) {
 
   // Day 1 offline: analyze on this process, learn through the leader (the
   // mutations replicate synchronously to every follower).
-  int analyzed = 0, learned_groups = 0;
+  int analyzed = 0, learn_events = 0;
   std::unordered_map<std::string, Job> group_rep;
   for (const Job& job : workload.JobsForDay(1)) {
     if (analyzed >= 20) break;
@@ -821,7 +821,7 @@ int CmdServeFleet(int argc, char** argv) {
       return 1;
     }
     if (!learned) continue;
-    ++learned_groups;
+    ++learn_events;
     group_rep.emplace(analysis.default_plan.signature.ToHexString(), job);
   }
   // Validation re-runs read the leader's pending candidates and report
@@ -837,8 +837,10 @@ int CmdServeFleet(int argc, char** argv) {
                  status.ToString().c_str());
     return 1;
   }
-  std::printf("day 1 offline: %d analyzed, %d groups learned, %d serving, %d retired\n",
-              analyzed, learned_groups, leader->num_serving(), leader->num_retired());
+  std::printf("day 1 offline: %d analyzed, %d learn events, %d groups, %d serving, "
+              "%d retired\n",
+              analyzed, learn_events, leader->num_groups(), leader->num_serving(),
+              leader->num_retired());
 
   // Days 2..N online: serve every job's signature through the fleet, with
   // hashed kill/restart churn at day boundaries.
