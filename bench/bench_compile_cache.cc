@@ -155,6 +155,9 @@ int main(int argc, char** argv) {
   std::printf("cache: %s\n", stats.ToString().c_str());
   std::printf("span-equivalent candidates pruned: %lld\n",
               static_cast<long long>(cached.budget_stats().span_duplicates_pruned));
+  std::printf("explorations: uncached %s; cached %s\n",
+              uncached.exploration_stats().ToString().c_str(),
+              cached.exploration_stats().ToString().c_str());
   std::printf("results bit-identical cached vs uncached, every round: %s\n",
               all_identical ? "yes" : "NO — cache soundness violated");
 

@@ -90,6 +90,9 @@ int main(int argc, char** argv) {
   PipelineOptions base;
   base.max_candidate_configs = 200;
   base.configs_to_execute = 10;
+  // No compile cache: the warm-up Recompile below would fill it, and the
+  // timed analysis would then compile nothing.
+  base.compile_cache_mb = 0;
   base.compile_budget = compile_budget;
   base.rank_candidates = rank_candidates;
   if (compile_budget > 0 || rank_candidates) {

@@ -175,7 +175,8 @@ JobAnalysis SteeringPipeline::Recompile(const Job& job) const {
   JobAnalysis analysis;
   analysis.job = job;
 
-  // All compiles of this job share one session (seed-memo snapshots) and the
+  // The default and span compiles run through one session (one explored
+  // memo), which the candidate runs below fork, and all share the
   // pipeline-wide compile cache. Default and span compiles use full-bits
   // keys (no span known yet — unconditionally sound); candidate compiles
   // below use span-projected keys, so span-equivalent configurations across
@@ -185,11 +186,16 @@ JobAnalysis SteeringPipeline::Recompile(const Job& job) const {
   auto compile_full_bits = [&](const RuleConfig& config) {
     return CompileJob(job, config, CompileCache::Key{fingerprint, config.bits()}, &session);
   };
+  auto count_explorations = [&](const CompileSession& counted) {
+    ctr_explorations_run_.fetch_add(counted.misses(), std::memory_order_relaxed);
+    ctr_explorations_reused_.fetch_add(counted.hits(), std::memory_order_relaxed);
+  };
 
   Result<CompiledPlan> default_plan = compile_full_bits(RuleConfig::Default());
   if (!default_plan.ok()) {
     // The default configuration always compiles for generated workloads;
     // return an empty analysis defensively.
+    count_explorations(session);
     return analysis;
   }
   analysis.default_plan = std::move(default_plan.value());
@@ -236,7 +242,8 @@ JobAnalysis SteeringPipeline::Recompile(const Job& job) const {
         options_.compile_budget < static_cast<int>(candidates.size())) {
       // Top-budget by (score desc, stream index asc): the index tie-break
       // keeps a cold ranker (all scores equal) identical to the unranked
-      // prefix. Then back to stream order for compilation and merge.
+      // prefix. Then back to stream order; the compiles below run grouped
+      // by exploration bits and merge in stream order.
       std::sort(selected.begin(), selected.end(), [&](size_t a, size_t b) {
         if (scores[a] != scores[b]) return scores[a] > scores[b];
         return a < b;
@@ -255,36 +262,81 @@ JobAnalysis SteeringPipeline::Recompile(const Job& job) const {
                                      std::memory_order_relaxed);
   ctr_budget_skipped_.fetch_add(analysis.budget_skipped, std::memory_order_relaxed);
 
-  // Fan the candidate recompilations out over the pool: each candidate is
-  // compiled independently (Optimizer::Compile is reentrant), then outcomes
-  // are merged below in candidate order, so the analysis is bit-identical
-  // to the serial path no matter how many workers ran.
+  // Group the selected candidates by exploration bits (a stable sort keeps
+  // stream order within a group) and cut the groups into runs: each run
+  // compiles in order through its own fork of the job's session, so every
+  // compile after a run's first reuses the run's exploration. A run is a
+  // whole group unless the pool fans out; then it holds at most half a
+  // worker's share of the candidates, so a job with two large groups still
+  // keeps every worker busy. The runs depend on the pool's width only,
+  // never on timing. Each candidate compiles (Optimizer::Compile is
+  // reentrant) into its own slot, and outcomes are merged below in stream
+  // order, so the analysis is bit-identical to the serial path no matter
+  // how many workers ran.
+  std::vector<BitVector256> exploration_keys;
+  exploration_keys.reserve(selected.size());
+  for (size_t i : selected) {
+    exploration_keys.push_back(CompileSession::ExplorationKey(candidates[i]));
+  }
+  std::vector<size_t> compile_order(selected.size());
+  for (size_t k = 0; k < compile_order.size(); ++k) compile_order[k] = k;
+  std::stable_sort(compile_order.begin(), compile_order.end(), [&](size_t a, size_t b) {
+    return exploration_keys[a] < exploration_keys[b];
+  });
+  // ParallelFor runs inline without a pool and on the pool's own workers.
+  const size_t width = pool_ == nullptr || ThreadPool::Current() == pool_.get()
+                           ? 1
+                           : static_cast<size_t>(pool_->num_threads());
+  const size_t max_run =
+      width == 1 ? selected.size() : (selected.size() + 2 * width - 1) / (2 * width);
+  // run_begin[r] is the position in compile_order of run r's first
+  // candidate; the last entry closes the last run.
+  std::vector<size_t> run_begin;
+  for (size_t k = 0; k < compile_order.size(); ++k) {
+    if (k == 0 || k - run_begin.back() == max_run ||
+        exploration_keys[compile_order[k]] != exploration_keys[compile_order[k - 1]]) {
+      run_begin.push_back(k);
+    }
+  }
+  run_begin.push_back(compile_order.size());
+  // Longest runs first, so the last runs the workers claim are short.
+  std::vector<size_t> run_order(run_begin.size() - 1);
+  for (size_t r = 0; r < run_order.size(); ++r) run_order[r] = r;
+  std::stable_sort(run_order.begin(), run_order.end(), [&](size_t a, size_t b) {
+    return run_begin[a + 1] - run_begin[a] > run_begin[b + 1] - run_begin[b];
+  });
   struct CandidateResult {
     bool ok = false;
     bool timed_out = false;
     CompiledPlan plan;
     uint64_t plan_hash = 0;
   };
-  std::vector<CandidateResult> compiled = ParallelMap<CandidateResult>(
-      pool_.get(), static_cast<int64_t>(selected.size()), [&](int64_t i) {
-        CandidateResult r;
-        const RuleConfig& config = candidates[selected[static_cast<size_t>(i)]];
-        // Span-projected key: candidates only differ inside the span, so
-        // the projection is a complete identity for them (paper §4), and
-        // recurring instances of this job hit the same entries.
-        CompileCache::Key key{fingerprint, ProjectConfig(config, analysis.span.span)};
-        Result<CompiledPlan> plan = CompileJob(job, config, key, &session);
-        if (!plan.ok()) {
-          // Transient exhaustion (deadline or unavailable) is a drop, not a
-          // configuration property; permanent failures count separately.
-          r.timed_out = IsTransient(plan.status().code());
-          return r;
-        }
-        r.ok = true;
-        r.plan = std::move(plan.value());
-        r.plan_hash = PlanHash(r.plan.root, /*for_template=*/false);
-        return r;
-      });
+  std::vector<CandidateResult> compiled(selected.size());
+  ParallelFor(pool_.get(), static_cast<int64_t>(run_order.size()), [&](int64_t i) {
+    const size_t r = run_order[static_cast<size_t>(i)];
+    CompileSession run_session = session.Fork();
+    for (size_t k = run_begin[r]; k < run_begin[r + 1]; ++k) {
+      const size_t si = compile_order[k];
+      CandidateResult& result = compiled[si];
+      const RuleConfig& config = candidates[selected[si]];
+      // Span-projected key: candidates only differ inside the span, so
+      // the projection is a complete identity for them (paper §4), and
+      // recurring instances of this job hit the same entries.
+      CompileCache::Key key{fingerprint, ProjectConfig(config, analysis.span.span)};
+      Result<CompiledPlan> plan = CompileJob(job, config, key, &run_session);
+      if (!plan.ok()) {
+        // Transient exhaustion (deadline or unavailable) is a drop, not a
+        // configuration property; permanent failures count separately.
+        result.timed_out = IsTransient(plan.status().code());
+        continue;
+      }
+      result.ok = true;
+      result.plan = std::move(plan.value());
+      result.plan_hash = PlanHash(result.plan.root, /*for_template=*/false);
+    }
+    count_explorations(run_session);
+  });
+  count_explorations(session);
 
   uint64_t default_plan_hash = PlanHash(analysis.default_plan.root, /*for_template=*/false);
   std::vector<uint64_t> seen_plans = {default_plan_hash};
@@ -460,6 +512,19 @@ SteeringPipeline::BudgetStats SteeringPipeline::budget_stats() const {
   stats.ranker_examples_trained = ctr_ranker_examples_.load(std::memory_order_relaxed);
   stats.span_duplicates_pruned = ctr_span_pruned_.load(std::memory_order_relaxed);
   return stats;
+}
+
+SteeringPipeline::ExplorationStats SteeringPipeline::exploration_stats() const {
+  ExplorationStats stats;
+  stats.run = ctr_explorations_run_.load(std::memory_order_relaxed);
+  stats.reused = ctr_explorations_reused_.load(std::memory_order_relaxed);
+  return stats;
+}
+
+std::string SteeringPipeline::ExplorationStats::ToString() const {
+  std::ostringstream out;
+  out << "run=" << run << " reused=" << reused;
+  return out.str();
 }
 
 std::string SteeringPipeline::BudgetStats::ToString() const {

@@ -78,8 +78,9 @@ struct PipelineOptions {
   int compile_budget = 0;
   /// Score the candidate stream with the online CandidateRanker and spend
   /// `compile_budget` on the highest-ranked candidates. Selection is a
-  /// *filter*, never a reorder: compilation and merging keep stream order,
-  /// so with an unlimited budget the analysis is bit-identical to
+  /// *filter*, never a reorder: the selected candidates merge in stream
+  /// order (they compile grouped by exploration bits, which changes no
+  /// result), so with an unlimited budget the analysis is bit-identical to
   /// rank_candidates = false. When off (the default), the ranker does not
   /// exist and the pipeline behaves exactly as before this knob.
   bool rank_candidates = false;
@@ -253,6 +254,19 @@ class SteeringPipeline {
   };
   BudgetStats budget_stats() const;
 
+  /// Cumulative exploration counters of the per-job compile sessions: the
+  /// compiles that explored, and those that cloned a session's explored
+  /// memo instead. Compiles served by the compile cache, and CompileCached,
+  /// which uses no session, count in neither. The counts depend on the
+  /// pool's width (a fanned-out job cuts its candidates into more runs),
+  /// never on timing. Thread-safe snapshot.
+  struct ExplorationStats {
+    int64_t run = 0;
+    int64_t reused = 0;
+    std::string ToString() const;
+  };
+  ExplorationStats exploration_stats() const;
+
   /// Cumulative per-stage failure counters (compile timeouts/retries,
   /// execution retries/failures, fallbacks) across all analyses run through
   /// this pipeline. Thread-safe snapshot; counters never influence results.
@@ -320,6 +334,11 @@ class SteeringPipeline {
   mutable std::atomic<int64_t> ctr_budget_skipped_{0};
   mutable std::atomic<int64_t> ctr_improvements_found_{0};
   mutable std::atomic<int64_t> ctr_ranker_examples_{0};
+
+  // ExplorationStats counters, added from each job's session once the job's
+  // compiles are done (same relaxed-atomic observability contract).
+  mutable std::atomic<int64_t> ctr_explorations_run_{0};
+  mutable std::atomic<int64_t> ctr_explorations_reused_{0};
 
   /// The candidate ranker (null unless options.rank_candidates). Scoring
   /// and training both hold ranker_mu_; determinism additionally relies on

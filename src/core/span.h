@@ -41,8 +41,8 @@ struct SpanOptions {
 /// Each probe compiles through `compile`, or through
 /// `optimizer.Compile(job, config)` when it is null. The pipeline passes its
 /// own compile path, so probes share the job's compile-cache entries (keyed
-/// by the full configuration bits, always sound), its seed memo, and the
-/// pipeline's timeout, retries and failure counters.
+/// by the full configuration bits, always sound), its compile session's
+/// explored memo, and the pipeline's timeout, retries and failure counters.
 SpanResult ComputeJobSpan(const Optimizer& optimizer, const Job& job,
                           const SpanOptions& options = {},
                           const SpanCompileFn& compile = nullptr);

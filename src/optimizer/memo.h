@@ -68,8 +68,9 @@ struct Winner {
   double cost = 0.0;
   /// Chosen degree of parallelism for the winning expression.
   int dop = 1;
-  /// Property requests issued to each child.
-  std::vector<PhysProp> child_requests;
+  /// Winner-table index of each child's winner under the property this
+  /// expression requested from it, recorded when the option was costed.
+  SmallVector<int, 2> child_winners;
   /// Property the winning expression itself delivers (before enforcers).
   PhysProp delivered;
   /// Enforcers on top of the expression, bottom-up: an exchange, then a sort.
@@ -125,10 +126,10 @@ class Memo {
   /// that produced it plus the provenance of everything it was derived from.
   void CollectProvenance(ExprId id, std::vector<int>* rule_ids) const;
 
-  /// Deep copy, preserving every GroupId/ExprId assignment exactly. The
-  /// compile session's "seed memo" snapshot clones the freshly inserted
-  /// logical plan once per normalization projection instead of re-running
-  /// Insert for every candidate compile of a job.
+  /// Deep copy, preserving every GroupId/ExprId assignment exactly. A
+  /// compile session stores the explored memo of one configuration, and a
+  /// later compile with the same exploration bits clones it instead of
+  /// normalizing, inserting and exploring again.
   Memo Clone() const;
 
  private:

@@ -6,8 +6,6 @@
 #include <deque>
 #include <unordered_map>
 
-#include "common/hash.h"
-
 namespace qsteer {
 
 namespace {
@@ -43,8 +41,7 @@ class CompileState {
   }
 
   Result<CompiledPlan> Run(const Job& job) {
-    GroupId root = SeedMemo(job);
-    Explore();
+    const GroupId root = NormalizeAndExplore(job);
     Implement();
     // The memo is final from here on: size the per-group search state once.
     group_state_.resize(static_cast<size_t>(memo_.num_groups()));
@@ -58,7 +55,8 @@ class CompileState {
     }
     CompiledPlan plan;
     plan.est_cost = WinnerAt(winner).cost;
-    plan.root = ExtractPlan(root, any, &plan.signature);
+    extracted_.resize(winners_.size());
+    plan.root = ExtractPlan(winner, &plan.signature);
     for (int rule_id : normalization_rules_used_) plan.signature.Set(rule_id);
     AttributeMarkerRules(plan.root, &plan.signature);
     plan.est_output_rows = GroupStats(root).rows;
@@ -68,25 +66,35 @@ class CompileState {
   }
 
  private:
-  /// Seeds the memo with the (config-dependently) normalized input plan and
-  /// returns the root group. With a session, configurations that share the
-  /// normalization projection reuse one cloned snapshot instead of redoing
-  /// the normalization walk and memo insertion; results are bit-identical
-  /// because Memo::Clone preserves every id assignment.
-  GroupId SeedMemo(const Job& job) {
-    if (session_ == nullptr) {
-      PlanNodePtr normalized = NormalizeInputPlan(job.root);
-      return memo_.Insert(normalized);
+  /// Inserts the (config-dependently) normalized input plan into the memo,
+  /// explores it and returns the root group. With a session, a
+  /// configuration whose exploration bits equal the stored exploration's
+  /// key clones that memo and column overlay instead: neither phase reads
+  /// an implementation rule, and Memo::Clone preserves every id, so the
+  /// result is bit-identical. An exploration the deadline cut short is not
+  /// stored.
+  GroupId NormalizeAndExplore(const Job& job) {
+    BitVector256 key;
+    if (session_ != nullptr) {
+      key = CompileSession::ExplorationKey(config_);
+      if (std::shared_ptr<const CompileSession::ExploredMemo> explored = session_->Find(key)) {
+        memo_ = explored->memo.Clone();
+        universe_ = explored->universe;
+        normalization_rules_used_ = explored->normalization_rules;
+        return explored->root;
+      }
     }
-    const uint64_t key = CompileSession::NormalizationKey(config_);
-    if (std::shared_ptr<const CompileSession::SeedMemo> seed = session_->Find(key)) {
-      memo_ = seed->memo.Clone();
-      normalization_rules_used_ = seed->normalization_rules;
-      return seed->root;
+    const GroupId root = memo_.Insert(NormalizeInputPlan(job.root));
+    Explore();
+    if (session_ != nullptr && !aborted_) {
+      auto explored = std::make_shared<CompileSession::ExploredMemo>();
+      explored->key = key;
+      explored->memo = memo_.Clone();
+      explored->root = root;
+      explored->normalization_rules = normalization_rules_used_;
+      explored->universe = universe_;
+      session_->Store(std::move(explored));
     }
-    PlanNodePtr normalized = NormalizeInputPlan(job.root);
-    GroupId root = memo_.Insert(normalized);
-    session_->Store(key, memo_, root, normalization_rules_used_);
     return root;
   }
 
@@ -581,15 +589,16 @@ class CompileState {
     bool clears_sort = false;
   };
 
-  /// Scratch of one OptimizeGroup call: its options and the child
-  /// statistics of the option being costed. Every call at the same
-  /// recursion depth reuses one frame, and frames_ never moves a frame, so
-  /// a call keeps its frame across nested calls and the options keep their
-  /// child_requests' capacity from one call to the next.
+  /// Scratch of one OptimizeGroup call: its options, and the child
+  /// statistics and child winners of the option being costed. Every call at
+  /// the same recursion depth reuses one frame, and frames_ never moves a
+  /// frame, so a call keeps its frame across nested calls and the options
+  /// keep their child_requests' capacity from one call to the next.
   struct SearchFrame {
     std::vector<Option> options;
     size_t num_options = 0;
     std::vector<const LogicalStats*> child_stats;
+    SmallVector<int, 2> child_winners;
   };
 
   /// Appends a default option to the frame, reusing a previous one's storage.
@@ -841,7 +850,9 @@ class CompileState {
         double cost = 0.0;
         std::vector<PhysProp>& child_reqs = opt.child_requests;
         std::vector<const LogicalStats*>& child_stats = frame.child_stats;
+        SmallVector<int, 2>& child_winners = frame.child_winners;
         child_stats.clear();
+        child_winners.clear();
         bool feasible = true;
 
         // Two-phase resolution for broadcast joins: probe first, then the
@@ -858,6 +869,7 @@ class CompileState {
           const Winner& probe_winner = WinnerAt(probe);
           cost = probe_winner.cost + WinnerAt(build).cost;
           child_stats = {&GroupStats(expr.children[0]), &GroupStats(expr.children[1])};
+          child_winners = {probe, build};
           opt.delivered = probe_winner.delivered;
           opt.delivered.sort_keys.clear();
           opt.dop = probe_dop;
@@ -871,6 +883,7 @@ class CompileState {
             const Winner& child_winner = WinnerAt(child);
             cost += child_winner.cost;
             child_stats.push_back(&GroupStats(expr.children[i]));
+            child_winners.push_back(child);
             if (i == 0 && opt.inherit_from_child) {
               opt.delivered = child_winner.delivered;
               if (opt.clears_sort) opt.delivered.sort_keys.clear();
@@ -881,10 +894,7 @@ class CompileState {
           if (expr.op.kind == OpKind::kVirtualDataset) {
             // Delivered parallelism is the union of all source partitions.
             int total = 0;
-            for (size_t i = 0; i < expr.children.size(); ++i) {
-              const int child = FindWinner(expr.children[i], child_reqs[i].Key());
-              total += std::max(1, WinnerAt(child).delivered.dop);
-            }
+            for (int child : child_winners) total += std::max(1, WinnerAt(child).delivered.dop);
             opt.delivered.dop = std::min(total, options_.max_dop * 2);
             opt.dop = opt.delivered.dop;
           }
@@ -905,7 +915,7 @@ class CompileState {
           best.cost = cost;
           best.expr = eid;
           best.dop = std::max(1, opt.dop);
-          best.child_requests = child_reqs;
+          best.child_winners = child_winners;
           best.delivered = delivered;
           best.exchange = exchange;
           best.sort = sort;
@@ -922,13 +932,11 @@ class CompileState {
   // Plan extraction + signature logging
   // ---------------------------------------------------------------------
 
-  PlanNodePtr ExtractPlan(GroupId gid, const PhysProp& required, RuleSignature* signature) {
-    uint64_t cache_key = HashCombine(static_cast<uint64_t>(gid), required.Key());
-    auto cached = extraction_cache_.find(cache_key);
-    if (cached != extraction_cache_.end()) return cached->second;
-
-    const int index = FindWinner(gid, required.Key());
-    if (!Feasible(index)) return nullptr;
+  /// The physical plan of a feasible winner, built once per winner: a
+  /// subplan two parents share is one node.
+  PlanNodePtr ExtractPlan(int index, RuleSignature* signature) {
+    PlanNodePtr& extracted = extracted_[static_cast<size_t>(index)];
+    if (extracted != nullptr) return extracted;
     // Extraction only reads winners_, so this reference outlives the
     // recursion below.
     const Winner& winner = WinnerAt(index);
@@ -941,12 +949,8 @@ class CompileState {
     for (int id : rule_ids) signature->Set(id);
 
     std::vector<PlanNodePtr> children;
-    children.reserve(expr.children.size());
-    for (size_t i = 0; i < expr.children.size(); ++i) {
-      PlanNodePtr child = ExtractPlan(expr.children[i], winner.child_requests[i], signature);
-      if (child == nullptr) return nullptr;
-      children.push_back(std::move(child));
-    }
+    children.reserve(winner.child_winners.size());
+    for (int child : winner.child_winners) children.push_back(ExtractPlan(child, signature));
     Operator op = expr.op;
     op.dop = winner.dop;
     PlanNodePtr node = PlanNode::Make(std::move(op), std::move(children));
@@ -978,7 +982,7 @@ class CompileState {
       sort.dop = winner.sort.dop;
       node = PlanNode::Make(std::move(sort), {std::move(node)});
     }
-    extraction_cache_[cache_key] = node;
+    extracted = node;
     return node;
   }
 
@@ -1026,7 +1030,8 @@ class CompileState {
   /// Child statistics handed to DeriveStats by GroupStats.
   std::vector<const LogicalStats*> stats_input_;
 
-  std::unordered_map<uint64_t, PlanNodePtr> extraction_cache_;
+  /// Indexed by winner; sized once the search returns.
+  std::vector<PlanNodePtr> extracted_;
   std::vector<int> normalization_rules_used_;
   std::unordered_map<const PlanNode*, std::vector<ColumnId>> norm_cols_;
   /// Synthetic normalization nodes pinned so address-keyed caches stay valid.
@@ -1035,37 +1040,28 @@ class CompileState {
 
 }  // namespace
 
-uint64_t CompileSession::NormalizationKey(const RuleConfig& config) {
-  // Exactly the rules CompileState's input normalization consults
-  // (PushSelectDown / NormalizeNode): select pushdown variants, select
-  // collapsing/true-elimination, predicate normalization, UnionAll
-  // flattening and GroupBy reduce-normalization. Keep in sync.
-  static const BitVector256 kNormalizationRules = BitVector256::FromIndices(
-      {rules::kCollapseSelects, rules::kSelectOnTrue, rules::kSelectPredNormalized,
-       rules::kSelectOnProject, 89, 94, 95, 96, 97, 99, 100, 120, 123});
-  return config.bits().And(kNormalizationRules).Hash();
+BitVector256 CompileSession::ExplorationKey(const RuleConfig& config) {
+  return config.bits().And(RuleRegistry::Instance().exploration_rules());
 }
 
-std::shared_ptr<const CompileSession::SeedMemo> CompileSession::Find(uint64_t key) const {
-  MutexLock lock(mu_);
-  auto it = seeds_.find(key);
-  if (it == seeds_.end()) {
-    misses_.fetch_add(1, std::memory_order_relaxed);
+CompileSession CompileSession::Fork() const {
+  CompileSession fork;
+  fork.explored_ = explored_;
+  return fork;
+}
+
+std::shared_ptr<const CompileSession::ExploredMemo> CompileSession::Find(
+    const BitVector256& key) {
+  if (explored_ == nullptr || explored_->key != key) {
+    ++misses_;
     return nullptr;
   }
-  hits_.fetch_add(1, std::memory_order_relaxed);
-  return it->second;
+  ++hits_;
+  return explored_;
 }
 
-void CompileSession::Store(uint64_t key, const Memo& memo, GroupId root,
-                           const std::vector<int>& normalization_rules) {
-  auto seed = std::make_shared<SeedMemo>();
-  seed->memo = memo.Clone();
-  seed->root = root;
-  seed->normalization_rules = normalization_rules;
-  MutexLock lock(mu_);
-  // First writer wins; a concurrent writer computed an identical seed.
-  seeds_.emplace(key, std::move(seed));
+void CompileSession::Store(std::shared_ptr<const ExploredMemo> explored) {
+  explored_ = std::move(explored);
 }
 
 RuleConfig ProductionConfig(const Job& job) {

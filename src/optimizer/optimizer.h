@@ -9,16 +9,12 @@
 #ifndef QSTEER_OPTIMIZER_OPTIMIZER_H_
 #define QSTEER_OPTIMIZER_OPTIMIZER_H_
 
-#include <atomic>
 #include <cstdint>
 #include <memory>
-#include <unordered_map>
 #include <vector>
 
 #include "catalog/catalog.h"
-#include "common/mutex.h"
 #include "common/status.h"
-#include "common/thread_annotations.h"
 #include "optimizer/cost_model.h"
 #include "optimizer/memo.h"
 #include "optimizer/rule_config.h"
@@ -66,42 +62,62 @@ struct CompileControl {
   double timeout_s = 0.0;
 };
 
-/// Shares per-job compile artifacts across the many compiles of one job
-/// (span probes, the default compile, candidate recompiles). Today it holds
-/// the "seed memo": the memo contents right after the normalized input plan
-/// was inserted. Normalization depends only on the configuration's
-/// normalization-rule bits, so configurations sharing that projection reuse
-/// one snapshot (Memo::Clone preserves every GroupId/ExprId, keeping results
-/// bit-identical to a from-scratch compile).
+/// Shares one explored memo across consecutive compiles of one job (span
+/// probes, the default compile, candidate recompiles). Input normalization
+/// and exploration read only the configuration's bits outside every
+/// implementation-rule list (RuleRegistry::exploration_rules), so
+/// configurations that differ only in implementation rules explore the
+/// same memo. The session keeps the last one explored: a compile whose
+/// exploration bits equal the stored key clones it and goes straight to
+/// implementation. Memo::Clone preserves every GroupId/ExprId, and the
+/// stored column overlay restores the columns exploration minted, so the
+/// result is bit-identical to a sessionless compile. The key is the masked
+/// bit vector itself, compared whole.
 ///
-/// Thread-safe: pipeline workers compiling candidates of the same job share
-/// one session. First writer per key wins; concurrent writers compute
-/// identical seeds by construction. A session must only ever see one job.
+/// One slot, not a map: the pipeline compiles a job's candidates in runs of
+/// equal bits, one run per session, so the previous exploration is the one
+/// the next compile can use, and memory stays at one explored memo per
+/// session.
+///
+/// Not thread-safe: a session serves one compile at a time. To compile in
+/// parallel, give each worker a Fork; forks share the stored exploration
+/// read-only. A session must only ever see one job and one Optimizer.
 class CompileSession {
  public:
-  struct SeedMemo {
+  /// The memo after input normalization and exploration, and what the
+  /// later phases need from them.
+  struct ExploredMemo {
+    BitVector256 key;
     Memo memo;
     GroupId root = kInvalidGroup;
     std::vector<int> normalization_rules;
+    /// The compile's column overlay, holding the columns exploration minted.
+    ColumnUniverse universe;
   };
 
-  /// The seed a configuration maps to: a hash of the configuration's bits
-  /// restricted to the rules input normalization consults (kept in sync with
-  /// CompileState::NormalizeNode/PushSelectDown).
-  static uint64_t NormalizationKey(const RuleConfig& config);
+  /// The configuration's exploration bits: its bits restricted to
+  /// RuleRegistry::exploration_rules().
+  static BitVector256 ExplorationKey(const RuleConfig& config);
 
-  std::shared_ptr<const SeedMemo> Find(uint64_t key) const;
-  void Store(uint64_t key, const Memo& memo, GroupId root,
-             const std::vector<int>& normalization_rules);
+  /// A session that starts from this one's stored exploration, with zero
+  /// counts.
+  CompileSession Fork() const;
 
-  int64_t hits() const { return hits_.load(std::memory_order_relaxed); }
-  int64_t misses() const { return misses_.load(std::memory_order_relaxed); }
+  /// The stored exploration when its key equals `key` (a hit), else null (a
+  /// miss).
+  std::shared_ptr<const ExploredMemo> Find(const BitVector256& key);
+  /// Replaces the stored exploration.
+  void Store(std::shared_ptr<const ExploredMemo> explored);
+
+  /// Compiles that reused the stored exploration, and compiles that
+  /// explored.
+  int64_t hits() const { return hits_; }
+  int64_t misses() const { return misses_; }
 
  private:
-  mutable Mutex mu_;
-  std::unordered_map<uint64_t, std::shared_ptr<const SeedMemo>> seeds_ GUARDED_BY(mu_);
-  mutable std::atomic<int64_t> hits_{0};
-  mutable std::atomic<int64_t> misses_{0};
+  std::shared_ptr<const ExploredMemo> explored_;
+  int64_t hits_ = 0;
+  int64_t misses_ = 0;
 };
 
 /// Thread-safety: an Optimizer is immutable after construction, and Compile
@@ -124,10 +140,12 @@ class Optimizer {
   /// before optimization finishes (checked between memo operations; a
   /// compilation never hangs on pathological memo growth).
   ///
-  /// `session` (may be null) shares per-job artifacts: its seed memo skips
-  /// re-normalizing and re-inserting the input plan when another compile of
-  /// the same job already did so under the same normalization projection.
-  /// The result is bit-identical to a sessionless compile.
+  /// `session` (may be null) shares exploration across the compiles of one
+  /// job: when the exploration it stored last was made under this
+  /// configuration's exploration bits, the compile clones that memo and
+  /// skips normalization, insertion and exploration. The result is
+  /// bit-identical to a sessionless compile. Concurrent compiles need
+  /// distinct sessions (CompileSession::Fork).
   ///
   /// Safe to call concurrently from multiple threads (see class comment).
   /// Deterministic: the same (job, config) yields a bit-identical plan no

@@ -383,6 +383,10 @@ RuleRegistry::RuleRegistry() {
     (rule->is_implementation() ? implementations_ : transformations_)[index].push_back(
         rule.get());
   }
+  exploration_rules_ = BitVector256::AllSet();
+  for (const std::vector<const Rule*>& list : implementations_) {
+    for (const Rule* rule : list) exploration_rules_.Reset(rule->id());
+  }
 }
 
 void AttributeMarkerRules(const PlanNodePtr& physical_root, RuleSignature* signature) {

@@ -109,6 +109,13 @@ class RuleRegistry {
     return implementations_[static_cast<size_t>(kind)];
   }
 
+  /// Every rule that no implementation_rules list holds. Input
+  /// normalization and exploration consult no other bit of a configuration,
+  /// so two configurations equal on these bits explore the same memo. Ids
+  /// 250-255 lie in the implementation id range but are transformation
+  /// rules, and so are in this set.
+  const BitVector256& exploration_rules() const { return exploration_rules_; }
+
   /// All ids in a category.
   std::vector<RuleId> IdsInCategory(RuleCategory category) const;
 
@@ -120,6 +127,7 @@ class RuleRegistry {
   /// Indexed by OpKind; marker rules are in no list.
   std::array<std::vector<const Rule*>, kNumOpKinds> transformations_;
   std::array<std::vector<const Rule*>, kNumOpKinds> implementations_;
+  BitVector256 exploration_rules_;
 };
 
 /// Marker attribution: required-rule bits implied by features of the final

@@ -1,8 +1,8 @@
 // Tests of the span-keyed compile cache and its pipeline/service plumbing:
 // bit-identity with caching on vs off (the non-negotiable invariant), LRU
-// eviction under a tiny budget, span-projection candidate dedup, seed-memo
-// session equivalence, concurrent access, and the durable store's published
-// recommendation snapshot.
+// eviction under a tiny budget, span-projection candidate dedup, compile
+// session (shared exploration) equivalence, concurrent access, and the
+// durable store's published recommendation snapshot.
 #include "optimizer/compile_cache.h"
 
 #include <cstring>
@@ -519,31 +519,128 @@ TEST_F(CompileCachePipelineTest, CompileCachedMatchesDirectCompileAndHits) {
   EXPECT_GE(pipeline.compile_cache_stats().hits, 1);
 }
 
-TEST_F(CompileCachePipelineTest, SessionSeedMemoEquivalentToSessionless) {
+TEST_F(CompileCachePipelineTest, SessionExplorationEquivalentToSessionless) {
   Job job = workload_.MakeJob(5, 1);
-  CompileSession session;
   SpanResult span = ComputeJobSpan(optimizer_, job);
-  std::vector<RuleConfig> configs = {RuleConfig::Default(), RuleConfig::AllEnabled()};
+  const BitVector256& exploration = RuleRegistry::Instance().exploration_rules();
+  const RuleConfig def = RuleConfig::Default();
+  const RuleConfig all = RuleConfig::AllEnabled();
+  // Span rules the default enables, so disabling one changes the config.
+  std::vector<RuleId> implementation_ids, transformation_ids;
+  for (RuleId id : span.span.ToIndices()) {
+    if (!def.IsEnabled(id)) continue;
+    (exploration.Test(id) ? transformation_ids : implementation_ids).push_back(id);
+  }
+  ASSERT_GE(implementation_ids.size(), 2u);
+  ASSERT_GE(transformation_ids.size(), 1u);
+  auto without = [](RuleConfig config, const std::vector<RuleId>& ids) {
+    for (RuleId id : ids) config.Disable(id);
+    return config;
+  };
+  const RuleId impl0 = implementation_ids[0];
+  const RuleId impl1 = implementation_ids[1];
+  const RuleId flip = transformation_ids[0];
+  // Compiled in this order: a configuration differing from the one before
+  // it only in implementation rules reuses its exploration; a flipped
+  // transformation rule explores again.
+  std::vector<RuleConfig> configs = {
+      def,                            // miss
+      without(def, {impl0}),          // hit
+      without(def, {impl0, impl1}),   // hit
+      without(def, {flip}),           // miss
+      without(def, {flip, impl0}),    // hit
+      def,                            // miss: the slot holds the flipped exploration
+      all,                            // miss
+      without(all, {impl1}),          // hit
+  };
+  const int64_t listed_hits = 4;
+  const int64_t listed_misses = 4;
   ConfigSearchOptions search;
   search.max_configs = 10;
   search.seed = 9;
   for (RuleConfig& config : GenerateCandidateConfigs(span.span, search)) {
     configs.push_back(std::move(config));
   }
-  for (const RuleConfig& config : configs) {
-    Result<CompiledPlan> plain = optimizer_.Compile(job, config);
-    Result<CompiledPlan> seeded = optimizer_.Compile(job, config, CompileControl{}, &session);
-    ASSERT_EQ(plain.ok(), seeded.ok());
-    if (!plain.ok()) continue;
-    EXPECT_EQ(PlanHash(plain.value().root, false), PlanHash(seeded.value().root, false));
-    EXPECT_EQ(plain.value().signature, seeded.value().signature);
-    EXPECT_EQ(DoubleBits(plain.value().est_cost), DoubleBits(seeded.value().est_cost));
-    EXPECT_EQ(plain.value().memo_groups, seeded.value().memo_groups);
-    EXPECT_EQ(plain.value().memo_exprs, seeded.value().memo_exprs);
+  // The generated candidates reuse exactly when they agree with their
+  // predecessor outside the implementation lists.
+  int64_t expected_hits = listed_hits;
+  for (size_t i = static_cast<size_t>(listed_hits + listed_misses); i < configs.size(); ++i) {
+    if (configs[i].bits().And(exploration) == configs[i - 1].bits().And(exploration)) {
+      ++expected_hits;
+    }
   }
-  // The candidate configs share the default normalization projection, so
-  // the session must have served seed-memo hits.
-  EXPECT_GT(session.hits(), 0);
+
+  CompileSession session;
+  for (size_t i = 0; i < configs.size(); ++i) {
+    const RuleConfig& config = configs[i];
+    Result<CompiledPlan> plain = optimizer_.Compile(job, config);
+    Result<CompiledPlan> shared = optimizer_.Compile(job, config, CompileControl{}, &session);
+    ASSERT_EQ(plain.ok(), shared.ok()) << "config " << i;
+    if (i + 1 == static_cast<size_t>(listed_hits + listed_misses)) {
+      EXPECT_EQ(session.hits(), listed_hits);
+      EXPECT_EQ(session.misses(), listed_misses);
+    }
+    if (!plain.ok()) continue;
+    EXPECT_EQ(PlanHash(plain.value().root, false), PlanHash(shared.value().root, false))
+        << "config " << i;
+    EXPECT_EQ(plain.value().signature, shared.value().signature) << "config " << i;
+    EXPECT_EQ(DoubleBits(plain.value().est_cost), DoubleBits(shared.value().est_cost))
+        << "config " << i;
+    EXPECT_EQ(plain.value().memo_groups, shared.value().memo_groups) << "config " << i;
+    EXPECT_EQ(plain.value().memo_exprs, shared.value().memo_exprs) << "config " << i;
+  }
+  EXPECT_EQ(session.hits(), expected_hits);
+  EXPECT_EQ(session.misses(), static_cast<int64_t>(configs.size()) - expected_hits);
+}
+
+TEST_F(CompileCachePipelineTest, SessionDoesNotStoreAnAbortedExploration) {
+  Job job = workload_.MakeJob(5, 1);
+  const RuleConfig config = RuleConfig::Default();
+  CompileSession session;
+  Result<CompiledPlan> aborted =
+      optimizer_.Compile(job, config, CompileControl{1e-9}, &session);
+  ASSERT_FALSE(aborted.ok());
+  EXPECT_EQ(aborted.status().code(), StatusCode::kDeadlineExceeded);
+
+  // Had the cut-short memo been stored, this compile would clone it.
+  Result<CompiledPlan> plain = optimizer_.Compile(job, config);
+  Result<CompiledPlan> shared = optimizer_.Compile(job, config, CompileControl{}, &session);
+  ASSERT_TRUE(plain.ok());
+  ASSERT_TRUE(shared.ok());
+  EXPECT_EQ(PlanHash(plain.value().root, false), PlanHash(shared.value().root, false));
+  EXPECT_EQ(plain.value().signature, shared.value().signature);
+  EXPECT_EQ(DoubleBits(plain.value().est_cost), DoubleBits(shared.value().est_cost));
+  EXPECT_EQ(plain.value().memo_groups, shared.value().memo_groups);
+  EXPECT_EQ(plain.value().memo_exprs, shared.value().memo_exprs);
+  EXPECT_EQ(session.hits(), 0);
+  EXPECT_EQ(session.misses(), 2);
+}
+
+TEST_F(CompileCachePipelineTest, ForkStartsFromTheStoredExploration) {
+  Job job = workload_.MakeJob(5, 1);
+  const RuleConfig def = RuleConfig::Default();
+  const RuleConfig all = RuleConfig::AllEnabled();
+  ASSERT_NE(CompileSession::ExplorationKey(def), CompileSession::ExplorationKey(all));
+  CompileSession session;
+  ASSERT_TRUE(optimizer_.Compile(job, def, CompileControl{}, &session).ok());
+
+  CompileSession fork = session.Fork();
+  EXPECT_EQ(fork.hits(), 0);
+  EXPECT_EQ(fork.misses(), 0);
+  Result<CompiledPlan> plain = optimizer_.Compile(job, def);
+  Result<CompiledPlan> forked = optimizer_.Compile(job, def, CompileControl{}, &fork);
+  ASSERT_TRUE(plain.ok());
+  ASSERT_TRUE(forked.ok());
+  EXPECT_EQ(PlanHash(plain.value().root, false), PlanHash(forked.value().root, false));
+  EXPECT_EQ(DoubleBits(plain.value().est_cost), DoubleBits(forked.value().est_cost));
+  EXPECT_EQ(fork.hits(), 1);
+
+  // The fork's store replaces its own slot only.
+  ASSERT_TRUE(optimizer_.Compile(job, all, CompileControl{}, &fork).ok());
+  EXPECT_EQ(fork.misses(), 1);
+  ASSERT_TRUE(optimizer_.Compile(job, def, CompileControl{}, &session).ok());
+  EXPECT_EQ(session.hits(), 1);
+  EXPECT_EQ(session.misses(), 1);
 }
 
 TEST_F(CompileCachePipelineTest, ConcurrentMixedAccessIsSafe) {

@@ -193,6 +193,20 @@ TEST(LintTest, LockHierarchyExtractionAndFormat) {
   EXPECT_TRUE(findings.empty());
 }
 
+TEST(LintTest, LockHierarchyFollowsUnqualifiedMemberCallIntoOwnClass) {
+  // Inner() is defined by two classes; the call inside A::Outer() is A's.
+  std::vector<Finding> findings;
+  std::string error;
+  std::vector<LockEdge> edges;
+  ASSERT_TRUE(LintPaths({FixturePath("ql008_member_call.cc")}, LintOptions{}, &findings,
+                        &error, &edges))
+      << error;
+  EXPECT_TRUE(findings.empty());
+  ASSERT_EQ(edges.size(), 1u);
+  EXPECT_EQ(edges[0].from, "A::mu_");
+  EXPECT_EQ(edges[0].to, "A::other_");
+}
+
 TEST(LintTest, SerializationContractPositive) {
   EXPECT_EQ(LintFixture("ql009_positive.cc"),
             (Anchors{{"QL009", 9}, {"QL009", 10}, {"QL009", 10}, {"QL009", 13}}));

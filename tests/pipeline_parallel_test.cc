@@ -106,6 +106,38 @@ TEST(PipelineParallel, AnalyzeJobMatchesSerialAcrossWorkerCounts) {
   }
 }
 
+TEST(PipelineParallel, ExplorationStatsDoNotDependOnTiming) {
+  // Candidates with equal exploration bits compile in runs, each in order
+  // through its own session, and the runs depend on the worker count only:
+  // which compiles reuse an exploration never depends on which worker got
+  // there first.
+  Workload workload(Spec());
+  Optimizer optimizer(&workload.catalog());
+  ExecutionSimulator simulator(&workload.catalog());
+  auto stats_with = [&](int workers) {
+    PipelineOptions options = Options(workers);
+    options.compile_cache_mb = 0;
+    SteeringPipeline pipeline(&optimizer, &simulator, options);
+    for (int t = 0; t < 4; ++t) pipeline.Recompile(workload.MakeJob(t, /*day=*/1));
+    return pipeline.exploration_stats();
+  };
+  const SteeringPipeline::ExplorationStats serial = stats_with(0);
+  EXPECT_GT(serial.reused, 0);
+  for (int workers : {2, 8}) {
+    SCOPED_TRACE(testing::Message() << "workers=" << workers);
+    const SteeringPipeline::ExplorationStats first = stats_with(workers);
+    for (int repeat = 0; repeat < 3; ++repeat) {
+      const SteeringPipeline::ExplorationStats again = stats_with(workers);
+      EXPECT_EQ(again.run, first.run);
+      EXPECT_EQ(again.reused, first.reused);
+    }
+    // The same compiles, split into more runs.
+    EXPECT_EQ(first.run + first.reused, serial.run + serial.reused);
+    EXPECT_GE(first.run, serial.run);
+    EXPECT_GT(first.reused, 0);
+  }
+}
+
 TEST(PipelineParallel, BatchEntryPointMatchesPerJobCalls) {
   Workload workload(Spec());
   Optimizer optimizer(&workload.catalog());

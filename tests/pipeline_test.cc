@@ -253,5 +253,47 @@ TEST_F(PipelineTest, SpanProbeCompileFailureIsCounted) {
   EXPECT_EQ(pipeline.failure_stats().compile_failures, analysis.compile_failures + 1);
 }
 
+TEST_F(PipelineTest, ExecutedPlansEqualSessionlessCompiles) {
+  // Candidates compile through the job's session, grouped by exploration
+  // bits; each executed plan must still be the plan a fresh compile of its
+  // configuration produces.
+  int outcomes = 0;
+  for (int t = 0; t < 4; ++t) {
+    Job job = workload_.MakeJob(t, 1);
+    JobAnalysis analysis = pipeline_.AnalyzeJob(job);
+    for (const ConfigOutcome& outcome : analysis.executed) {
+      Result<CompiledPlan> fresh = optimizer_.Compile(job, outcome.config);
+      ASSERT_TRUE(fresh.ok());
+      EXPECT_EQ(PlanHash(outcome.plan.root, false), PlanHash(fresh.value().root, false));
+      EXPECT_EQ(outcome.plan.signature, fresh.value().signature);
+      EXPECT_EQ(outcome.plan.est_cost, fresh.value().est_cost);
+      EXPECT_EQ(outcome.plan.memo_groups, fresh.value().memo_groups);
+      EXPECT_EQ(outcome.plan.memo_exprs, fresh.value().memo_exprs);
+      ++outcomes;
+    }
+  }
+  EXPECT_GT(outcomes, 0);
+}
+
+TEST_F(PipelineTest, ExplorationStatsCountEveryCompileOfTheJob) {
+  // Without the cache every compile reaches the session: it either explores
+  // or reuses the previous compile's exploration.
+  PipelineOptions options = Options();
+  options.compile_cache_mb = 0;
+  options.rank_candidates = true;
+  options.compile_budget = 50;
+  SteeringPipeline pipeline(&optimizer_, &simulator_, options);
+  JobAnalysis analysis = pipeline.Recompile(workload_.MakeJob(0, 1));
+
+  ASSERT_NE(analysis.default_plan.root, nullptr);
+  const SteeringPipeline::ExplorationStats stats = pipeline.exploration_stats();
+  EXPECT_EQ(stats.run + stats.reused,
+            1 + analysis.span.iterations + (analysis.span.ended_on_compile_failure ? 1 : 0) +
+                analysis.candidates_compiled);
+  EXPECT_GT(stats.reused, 0);
+  EXPECT_EQ(stats.ToString(),
+            "run=" + std::to_string(stats.run) + " reused=" + std::to_string(stats.reused));
+}
+
 }  // namespace
 }  // namespace qsteer

@@ -4,6 +4,7 @@
 
 #include <gtest/gtest.h>
 
+#include "optimizer/optimizer.h"
 #include "optimizer/rule_registry.h"
 
 namespace qsteer {
@@ -147,6 +148,38 @@ TEST(RuleRegistry, DispatchIndexListsEveryProposingRuleOnceUnderItsRootKind) {
     }
   }
   EXPECT_EQ(markers, 30);
+}
+
+// A compile session keys its explored memo by the configuration's bits
+// outside the implementation lists. A rule exploration reads but the key
+// dropped would hand one configuration another's exploration.
+TEST(RuleRegistry, ExplorationKeyCoversEveryRuleOutsideTheImplementationLists) {
+  const RuleRegistry& registry = RuleRegistry::Instance();
+  std::vector<bool> implementation(kNumRules, false);
+  for (size_t k = 0; k < kNumOpKinds; ++k) {
+    for (const Rule* rule : registry.implementation_rules(static_cast<OpKind>(k))) {
+      implementation[static_cast<size_t>(rule->id())] = true;
+    }
+  }
+  const RuleConfig all = RuleConfig::AllEnabled();
+  const BitVector256 all_key = CompileSession::ExplorationKey(all);
+  for (RuleId id = 0; id < kNumRules; ++id) {
+    RuleConfig config = all;
+    config.Disable(id);
+    const bool changed = CompileSession::ExplorationKey(config) != all_key;
+    const bool expected = CategoryOfRule(id) != RuleCategory::kRequired &&
+                          !implementation[static_cast<size_t>(id)];
+    EXPECT_EQ(changed, expected) << id << " " << registry.name(id);
+  }
+  // Ids 250-255 sit in the implementation id range, but RareShapeRule
+  // registers them as transformation rules on kOutputWriter.
+  for (RuleId id = 250; id <= 255; ++id) {
+    EXPECT_EQ(CategoryOfRule(id), RuleCategory::kImplementation) << id;
+    EXPECT_FALSE(registry.rule(id)->is_implementation()) << registry.name(id);
+    RuleConfig config = all;
+    config.Disable(id);
+    EXPECT_NE(CompileSession::ExplorationKey(config), all_key) << registry.name(id);
+  }
 }
 
 TEST(RuleRegistry, IdsInCategorySizes) {

@@ -9,8 +9,10 @@
 //   analyze <A|B|C> <template> <day> [threads]
 //                                          full §5-§6 pipeline for one job;
 //                                          threads > 0 parallelizes candidate
-//                                          recompilation (same results); also
-//                                          reports the default plan's
+//                                          recompilation (same results; the
+//                                          explorations line depends on the
+//                                          thread count); also reports the
+//                                          default plan's
 //                                          per-node estimate-vs-truth
 //                                          cardinality q-error summary
 //   calibrate <A|B|C|S|K> [day] [flags]    cost-model calibration harness:
@@ -364,6 +366,7 @@ int CmdAnalyze(int argc, char** argv) {
   std::printf("  compile cache: %s\n  span-equivalent candidates pruned: %d\n",
               pipeline.compile_cache_stats().ToString().c_str(),
               analysis.span_duplicates_pruned);
+  std::printf("  explorations: %s\n", pipeline.exploration_stats().ToString().c_str());
   if (rank_candidates || compile_budget > 0) {
     std::printf("  budget: %s\n", pipeline.budget_stats().ToString().c_str());
   }

@@ -1418,7 +1418,10 @@ ResolvedCall ResolveCall(const Model& model, const FuncInfo& func,
     }
     if (resolvable) methods = FindMethods(model, cur, last.name);
   } else {
-    methods = FindMethods(model, "", last.name);
+    // Inside a member function an unqualified name is the caller's own
+    // method first, as in C++ lookup; only then a free function.
+    if (!func.cls.empty()) methods = FindMethods(model, func.cls, last.name);
+    if (methods.empty()) methods = FindMethods(model, "", last.name);
   }
   if (!methods.empty()) {
     bool all_status = true, any_status = false;
