@@ -72,18 +72,16 @@ int main(int argc, char** argv) {
   int num_jobs = 10;
   for (int i = 1; i < argc; ++i) {
     if (std::strncmp(argv[i], "--min-hit-rate=", 15) == 0) {
-      min_hit_rate = std::atof(argv[i] + 15);
+      min_hit_rate = DoubleArg("--min-hit-rate", argv[i] + 15, 0.0, 1.0);
     } else if (std::strncmp(argv[i], "--rounds=", 9) == 0) {
-      rounds = std::atoi(argv[i] + 9);
+      rounds = IntArg("--rounds", argv[i] + 9, 2, 1000);
     } else if (std::strncmp(argv[i], "--jobs=", 7) == 0) {
-      num_jobs = std::atoi(argv[i] + 7);
+      num_jobs = IntArg("--jobs", argv[i] + 7, 1, 100000);
     } else {
       std::fprintf(stderr, "unknown flag: %s\n", argv[i]);
       return 2;
     }
   }
-  if (rounds < 2) rounds = 2;
-  if (num_jobs < 1) num_jobs = 1;
 
   Workload workload(BenchSpec('B'));
   Optimizer optimizer(&workload.catalog());

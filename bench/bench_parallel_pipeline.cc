@@ -70,11 +70,11 @@ int main(int argc, char** argv) {
   bool rank_candidates = false;
   for (int i = 1; i < argc; ++i) {
     if (std::strncmp(argv[i], "--budget=", 9) == 0) {
-      compile_budget = std::atoi(argv[i] + 9);
+      compile_budget = IntArg("--budget", argv[i] + 9, 0, 1000000);
     } else if (std::strcmp(argv[i], "--rank") == 0) {
       rank_candidates = true;
     } else {
-      max_workers = std::atoi(argv[i]);
+      max_workers = IntArg("max_workers", argv[i], 0, 256);
     }
   }
   if (max_workers <= 0) {

@@ -125,13 +125,13 @@ int main(int argc, char** argv) {
     if (std::strcmp(argv[i], "--smoke") == 0) {
       smoke = true;
     } else if (std::strncmp(argv[i], "--min-improvement-ratio=", 24) == 0) {
-      min_ratio = std::atof(argv[i] + 24);
+      min_ratio = DoubleArg("--min-improvement-ratio", argv[i] + 24, 0.0, 1e9);
     } else if (std::strncmp(argv[i], "--jobs=", 7) == 0) {
-      num_jobs = std::atoi(argv[i] + 7);
+      num_jobs = IntArg("--jobs", argv[i] + 7, 1, 100000);
     } else if (std::strncmp(argv[i], "--budget-fraction=", 18) == 0) {
-      budget_fraction = std::atof(argv[i] + 18);
+      budget_fraction = DoubleArg("--budget-fraction", argv[i] + 18, 0.01, 1.0);
     } else if (std::strncmp(argv[i], "--train-days=", 13) == 0) {
-      train_days = std::atoi(argv[i] + 13);
+      train_days = IntArg("--train-days", argv[i] + 13, 1, 1000);
     } else {
       std::fprintf(stderr, "unknown flag: %s\n", argv[i]);
       return 2;
@@ -141,9 +141,6 @@ int main(int argc, char** argv) {
     num_jobs = 20;
     if (min_ratio < 0.0) min_ratio = 1.0;
   }
-  if (num_jobs < 1) num_jobs = 1;
-  if (train_days < 1) train_days = 1;
-  if (budget_fraction <= 0.0 || budget_fraction > 1.0) budget_fraction = 0.25;
   const int eval_day = 3;
 
   Workload workload(BenchSpec('B'));

@@ -104,15 +104,9 @@ void CollectReplies(std::vector<std::future<ServiceReply>>& replies, SoakStats& 
 }  // namespace
 
 int main(int argc, char** argv) {
-  int days = argc > 1 ? std::atoi(argv[1]) : 6;
-  int crashes_per_day = argc > 2 ? std::atoi(argv[2]) : 2;
-  int jobs_per_day = argc > 3 ? std::atoi(argv[3]) : 40;
-  if (days < 1 || crashes_per_day < 0 || jobs_per_day < 2) {
-    std::fprintf(stderr,
-                 "usage: bench_service_soak [days>=1] [crashes_per_day>=0] "
-                 "[jobs_per_day>=2]\n");
-    return 2;
-  }
+  int days = argc > 1 ? IntArg("days", argv[1], 1, 100000) : 6;
+  int crashes_per_day = argc > 2 ? IntArg("crashes_per_day", argv[2], 0, 1000) : 2;
+  int jobs_per_day = argc > 3 ? IntArg("jobs_per_day", argv[3], 2, 1000000) : 40;
 
   Header("Service chaos soak: crash/restart under load, bit-identical recovery",
          "acknowledged learning survives arbitrary process crashes (WAL + "
@@ -138,22 +132,15 @@ int main(int argc, char** argv) {
   }
 
   // Seed learning: analyze a slice of day 1 offline and validate the
-  // discovered candidates so serving has steered plans to recommend.
-  SteeringPipeline pipeline(&optimizer, &simulator, {});
-  int learned = 0;
-  for (const Job& job : workload.JobsForDay(1)) {
-    if (learned >= jobs_per_day / 2) break;
-    ++learned;
-    service->store().LearnFromAnalysis(pipeline.AnalyzeJob(job));
-  }
-  for (const SteeringRecommender::ValidationRequest& request :
-       service->store().PendingValidations()) {
-    service->store().ObserveValidation(request.signature, -10.0);
-    service->store().ObserveValidation(request.signature, -10.0);
-  }
+  // candidates on re-runs, so serving has steered plans to recommend.
+  std::vector<Job> day1 = workload.JobsForDay(1);
+  day1.resize(std::min<size_t>(day1.size(), jobs_per_day / 2));
+  LearnDayStats day1_stats;
+  // qsteer-lint: allow(unchecked-status) the store learns and takes the reports, and cannot fail them
+  (void)LearnDay(service->pipeline(), day1, service->store(), &day1_stats);
   std::printf("Seeded %d serving groups from %d analyzed jobs; soaking %d days "
               "x %d jobs, %d crash(es)/day.\n\n",
-              service->store().num_serving(), learned, days, jobs_per_day,
+              service->store().num_serving(), day1_stats.analyzed, days, jobs_per_day,
               crashes_per_day);
 
   SoakStats stats;

@@ -353,15 +353,10 @@ int main(int argc, char** argv) {
       positional.push_back(argv[i]);
     }
   }
-  int days = positional.size() > 0 ? std::atoi(positional[0]) : (smoke ? 4 : 8);
-  int replicas = positional.size() > 1 ? std::atoi(positional[1]) : 3;
-  int jobs_per_day = positional.size() > 2 ? std::atoi(positional[2]) : (smoke ? 48 : 160);
-  if (days < 1 || replicas < 2 || replicas > 16 || jobs_per_day < 1) {
-    std::fprintf(stderr,
-                 "usage: bench_serving_fleet [--smoke] [days>=1] [2<=replicas<=16] "
-                 "[jobs_per_day>=1]\n");
-    return 2;
-  }
+  int days = smoke ? 4 : 8, replicas = 3, jobs_per_day = smoke ? 48 : 160;
+  if (positional.size() > 0) days = IntArg("days", positional[0], 1, 100000);
+  if (positional.size() > 1) replicas = IntArg("replicas", positional[1], 2, 16);
+  if (positional.size() > 2) jobs_per_day = IntArg("jobs_per_day", positional[2], 1, 1000000);
   int threads = BenchThreads();
   if (threads < 0) threads = static_cast<int>(std::thread::hardware_concurrency());
   if (threads < 1) threads = 2;

@@ -80,13 +80,13 @@ int main(int argc, char** argv) {
     if (std::strcmp(argv[i], "--smoke") == 0) {
       smoke = true;
     } else if (std::strncmp(argv[i], "--min-hit-rate=", 15) == 0) {
-      min_hit_rate = std::atof(argv[i] + 15);
+      min_hit_rate = DoubleArg("--min-hit-rate", argv[i] + 15, 0.0, 1.0);
     } else if (std::strncmp(argv[i], "--jobs=", 7) == 0) {
-      num_jobs = std::atoi(argv[i] + 7);
+      num_jobs = IntArg("--jobs", argv[i] + 7, 1, 100000);
     } else if (std::strncmp(argv[i], "--shards=", 9) == 0) {
-      num_shards = std::atoi(argv[i] + 9);
+      num_shards = IntArg("--shards", argv[i] + 9, 1, 4096);
     } else if (std::strncmp(argv[i], "--workers=", 10) == 0) {
-      num_workers = std::atoi(argv[i] + 10);
+      num_workers = IntArg("--workers", argv[i] + 10, 0, 256);
     } else {
       std::fprintf(stderr, "unknown flag: %s\n", argv[i]);
       return 2;
@@ -97,8 +97,6 @@ int main(int argc, char** argv) {
     num_shards = 3;
     if (min_hit_rate < 0.0) min_hit_rate = 0.5;
   }
-  if (num_jobs < 1) num_jobs = 1;
-  if (num_shards < 1) num_shards = 1;
   const int day = 3;
 
   Workload workload(BenchSpec('B'));

@@ -15,6 +15,7 @@
 #include <cstdlib>
 #include <string>
 
+#include "common/argparse.h"
 #include "workload/generator.h"
 
 namespace qsteer::bench {
@@ -29,6 +30,26 @@ inline double BenchScale() {
 inline int BenchThreads() {
   const char* env = std::getenv("QSTEER_BENCH_THREADS");
   return env == nullptr ? 0 : std::atoi(env);
+}
+
+/// Reads a numeric command-line value the way the CLI does. A value that is
+/// not a number in [min_value, max_value] exits 2 naming `name`, so a typo
+/// such as "O.9" cannot silently move a CI floor the way atof's 0 would.
+inline int IntArg(const char* name, const char* value, int min_value, int max_value) {
+  int out = 0;
+  if (ParseIntArg(value, min_value, max_value, &out)) return out;
+  std::fprintf(stderr, "bad %s '%s' (expected an integer in [%d, %d])\n", name, value,
+               min_value, max_value);
+  std::exit(2);
+}
+
+inline double DoubleArg(const char* name, const char* value, double min_value,
+                        double max_value) {
+  double out = 0.0;
+  if (ParseDoubleArg(value, min_value, max_value, &out)) return out;
+  std::fprintf(stderr, "bad %s '%s' (expected a number in [%g, %g])\n", name, value,
+               min_value, max_value);
+  std::exit(2);
 }
 
 /// Workload specs used by all benches: paper-proportioned, at roughly 1/200

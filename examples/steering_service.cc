@@ -27,12 +27,12 @@
 //   $ ./examples/steering_service [jobs_per_day] [fault_level]
 //
 // fault_level scales FaultProfile::Flaky; 0 disables fault injection.
+#include <algorithm>
 #include <cstdio>
 #include <filesystem>
 #include <future>
 #include <memory>
 #include <string>
-#include <unordered_map>
 #include <utility>
 #include <vector>
 
@@ -51,6 +51,7 @@ ServiceOptions MakeServiceOptions(const std::string& dir) {
   options.store.dir = dir;
   options.store.snapshot_interval = 16;
   options.store.sync = false;  // demo speed; correctness is rename-atomic
+  options.pipeline.max_candidate_configs = 120;
   return options;
 }
 
@@ -119,9 +120,6 @@ int main(int argc, char** argv) {
   SimulatorOptions sim_options;
   sim_options.fault_profile = FaultProfile::Flaky(fault_level);
   ExecutionSimulator simulator(&workload.catalog(), sim_options);
-  PipelineOptions pipeline_options;
-  pipeline_options.max_candidate_configs = 120;
-  SteeringPipeline pipeline(&optimizer, &simulator, pipeline_options);
 
   std::filesystem::path dir =
       std::filesystem::temp_directory_path() / "qsteer_steering_service_demo";
@@ -139,26 +137,16 @@ int main(int argc, char** argv) {
               sim_options.fault_profile.Active() ? "fault injection active" : "fault-free",
               dir.c_str());
 
-  // ---------------- Day 1: offline discovery (journaled) ----------------
-  std::unordered_map<std::string, Job> group_rep;  // signature hex -> base job
-  int analyzed = 0, candidates = 0, failed_baselines = 0;
-  for (const Job& job : workload.JobsForDay(1)) {
-    if (analyzed >= max_jobs_per_day / 2) break;
-    ++analyzed;
-    JobAnalysis analysis = pipeline.AnalyzeJob(job);
-    if (analysis.default_metrics.failed) ++failed_baselines;
-    if (service->store().LearnFromAnalysis(analysis)) {
-      ++candidates;
-      group_rep.emplace(analysis.default_plan.signature.ToHexString(), job);
-    }
-  }
+  // ------- Day 1: offline discovery (journaled), then the validation gate -------
+  std::vector<Job> day1 = workload.JobsForDay(1);
+  day1.resize(std::min<size_t>(day1.size(), max_jobs_per_day / 2));
+  LearnDayStats day1_stats;
+  // qsteer-lint: allow(unchecked-status) the store learns and takes the reports, and cannot fail them
+  (void)LearnDay(service->pipeline(), day1, service->store(), &day1_stats);
   std::printf("Day 1 (offline): analyzed %d jobs (%d baselines lost to faults, "
               "%d learn events); %d signature groups have candidate configurations.\n",
-              analyzed, failed_baselines, candidates, service->store().num_groups());
-
-  // ---------------- Validation gate ----------------
-  // qsteer-lint: allow(unchecked-status) reports go to the store, which cannot fail them
-  (void)RunValidationGate(service->pipeline(), group_rep, service->store());
+              day1_stats.analyzed, day1_stats.failed_baselines, day1_stats.learn_events,
+              service->store().num_groups());
   std::printf("Validation: %d groups validated for serving, %d rejected.\n\n",
               service->store().num_serving(), service->store().num_retired());
 

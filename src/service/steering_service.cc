@@ -88,6 +88,29 @@ Status RunValidationGate(const SteeringPipeline& pipeline,
   return Status::OK();
 }
 
+Status LearnDay(const SteeringPipeline& pipeline, const std::vector<Job>& jobs,
+                DurableRecommenderStore& store, LearnDayStats* stats,
+                const LearnFunction& learn, const ValidationReport& report) {
+  *stats = LearnDayStats();
+  std::unordered_map<std::string, Job> group_jobs;  // signature hex -> first job
+  for (const Job& job : jobs) {
+    ++stats->analyzed;
+    JobAnalysis analysis = pipeline.AnalyzeJob(job);
+    if (analysis.default_metrics.failed) ++stats->failed_baselines;
+    bool learned = false;
+    if (learn) {
+      Status status = learn(analysis, &learned);
+      if (!status.ok()) return status;
+    } else {
+      learned = store.LearnFromAnalysis(analysis);
+    }
+    if (!learned) continue;
+    ++stats->learn_events;
+    group_jobs.emplace(analysis.default_plan.signature.ToHexString(), job);
+  }
+  return RunValidationGate(pipeline, group_jobs, store, report);
+}
+
 SteeringService::SteeringService(const Optimizer* optimizer,
                                  const ExecutionSimulator* simulator, ServiceOptions options)
     : options_(std::move(options)),

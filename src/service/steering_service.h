@@ -188,6 +188,28 @@ Status RunValidationGate(const SteeringPipeline& pipeline,
                          DurableRecommenderStore& store,
                          const ValidationReport& report = nullptr);
 
+/// Learns one analysis, setting `*learned` when it learned a candidate: the
+/// shape of ReplicationFleet::LearnFromAnalysis.
+using LearnFunction = std::function<Status(const JobAnalysis& analysis, bool* learned)>;
+
+/// Counts of one LearnDay call; several learn events can strengthen one group.
+struct LearnDayStats {
+  int analyzed = 0;
+  int learn_events = 0;
+  int failed_baselines = 0;  // default run failed: no baseline to learn against
+};
+
+/// Day-1 learning, discovery then validation (§3.3, §6): analyzes `jobs` in
+/// order on `pipeline` and learns each analysis into `store`, or through
+/// `learn` when given. The first job of each group that learned a candidate
+/// drives RunValidationGate(pipeline, ..., store, report). Returns the first
+/// non-OK learn status, before any validation, else the gate's status;
+/// `*stats` counts this call only.
+Status LearnDay(const SteeringPipeline& pipeline, const std::vector<Job>& jobs,
+                DurableRecommenderStore& store, LearnDayStats* stats,
+                const LearnFunction& learn = nullptr,
+                const ValidationReport& report = nullptr);
+
 class SteeringService {
  public:
   SteeringService(const Optimizer* optimizer, const ExecutionSimulator* simulator,

@@ -1,11 +1,12 @@
 // Chaos tests of the replicated serving tier: kill/restart churn,
 // deterministic failover, tail vs. snapshot catch-up, staleness shedding,
-// wire corruption, validation re-runs reported through the leader, and
-// concurrent serving during churn (TSan coverage).
+// wire corruption, day-1 learning and validation re-runs reported through
+// the leader, and concurrent serving during churn (TSan coverage).
 #include "service/replication.h"
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
 #include <filesystem>
 #include <memory>
@@ -473,6 +474,72 @@ TEST(FleetTest, ValidationGateReportsThroughTheLeader) {
   for (uint32_t r = 0; r < 3; ++r) {
     EXPECT_EQ(fleet.replica_store(r)->num_serving(), leader->num_serving()) << "replica " << r;
   }
+}
+
+TEST(FleetTest, LearnDayStopsAtTheFirstRefusedLearn) {
+  // Day-1 learning through the fleet, the way serve-fleet runs it: a learn
+  // the fleet refuses ends the day with the fleet's status, before any
+  // validation re-run.
+  Workload workload(WorkloadSpec::WorkloadB(0.003));
+  Optimizer optimizer(&workload.catalog());
+  ExecutionSimulator simulator(&workload.catalog());
+  PipelineOptions pipeline_options;
+  pipeline_options.max_candidate_configs = 60;
+  SteeringPipeline pipeline(&optimizer, &simulator, pipeline_options);
+  TempDir dir;
+  ReplicationFleet fleet(Options(dir.path()));
+  ASSERT_TRUE(fleet.Start().ok());
+  std::vector<Job> jobs = workload.JobsForDay(1);
+  jobs.resize(std::min<size_t>(jobs.size(), 8));
+  int reports = 0;
+  ValidationReport report = [&](const RuleSignature& signature, double change_pct) {
+    ++reports;
+    return fleet.ObserveValidation(signature, change_pct);
+  };
+  LearnFunction learn = [&fleet](const JobAnalysis& analysis, bool* learned) {
+    return fleet.LearnFromAnalysis(analysis, learned);
+  };
+  std::shared_ptr<DurableRecommenderStore> leader = fleet.replica_store(fleet.leader_id());
+
+  // Every replica down: the first learn fails.
+  for (uint32_t r = 0; r < 3; ++r) ASSERT_TRUE(fleet.Kill(r).ok());
+  LearnDayStats stats;
+  EXPECT_EQ(LearnDay(pipeline, jobs, *leader, &stats, learn, report).code(),
+            StatusCode::kUnavailable);
+  EXPECT_EQ(stats.analyzed, 1);
+  EXPECT_EQ(stats.learn_events, 0);
+  EXPECT_EQ(reports, 0);
+  EXPECT_EQ(leader->num_groups(), 0);
+  for (uint32_t r = 0; r < 3; ++r) ASSERT_TRUE(fleet.Restart(r).ok());
+
+  // The fleet dies after the first learned candidate: that candidate has a
+  // job to re-run, yet the refused learn after it skips the gate.
+  leader = fleet.replica_store(fleet.leader_id());
+  LearnFunction learn_then_die = [&](const JobAnalysis& analysis, bool* learned) {
+    Status status = fleet.LearnFromAnalysis(analysis, learned);
+    for (uint32_t r = 0; status.ok() && *learned && r < 3; ++r) {
+      EXPECT_TRUE(fleet.Kill(r).ok());
+    }
+    return status;
+  };
+  EXPECT_EQ(LearnDay(pipeline, jobs, *leader, &stats, learn_then_die, report).code(),
+            StatusCode::kUnavailable);
+  EXPECT_EQ(stats.learn_events, 1);
+  EXPECT_EQ(reports, 0);
+  EXPECT_EQ(leader->num_pending_validation(), 1);
+  for (uint32_t r = 0; r < 3; ++r) ASSERT_TRUE(fleet.Restart(r).ok());
+
+  // With the fleet up, the day learns, validates through the leader and
+  // converges.
+  leader = fleet.replica_store(fleet.leader_id());
+  ASSERT_TRUE(LearnDay(pipeline, jobs, *leader, &stats, learn, report).ok());
+  EXPECT_EQ(stats.analyzed, static_cast<int>(jobs.size()));
+  EXPECT_GT(stats.learn_events, 1);
+  EXPECT_GT(reports, 0);
+  EXPECT_EQ(leader->num_pending_validation(), 0);
+  ASSERT_TRUE(fleet.CatchUpAll().ok());
+  std::string detail;
+  EXPECT_TRUE(fleet.CheckConvergence(&detail).ok()) << detail;
 }
 
 TEST(FleetTest, ConcurrentServesSurviveChurn) {

@@ -4,8 +4,10 @@
 // persistence).
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <string>
 #include <unordered_map>
+#include <vector>
 
 #include "core/hints.h"
 #include "core/recommender.h"
@@ -119,6 +121,78 @@ TEST(ServiceIntegration, WeekOfServingSavesRuntimeSafely) {
     ASSERT_TRUE(parsed.ok());
     EXPECT_EQ(parsed.value(), rec.config);
   }
+}
+
+TEST(ServiceIntegration, LearnDayEqualsTheExplicitLoopAndGate) {
+  // LearnDay is the day-1 loop above followed by RunValidationGate. On the
+  // same slice, under fault injection, it leaves the same store bytes and
+  // the same counts.
+  Workload workload(WorkloadSpec::WorkloadB(0.003));
+  Optimizer optimizer(&workload.catalog());
+  SimulatorOptions sim_options;
+  sim_options.fault_profile = FaultProfile::Flaky(4.0);
+  ExecutionSimulator simulator(&workload.catalog(), sim_options);
+  PipelineOptions pipeline_options;
+  pipeline_options.max_candidate_configs = 30;
+  std::vector<Job> jobs = workload.JobsForDay(1);
+  jobs.resize(std::min<size_t>(jobs.size(), 8));
+
+  SteeringPipeline loop_pipeline(&optimizer, &simulator, pipeline_options);
+  DurableRecommenderStore loop_store;
+  ASSERT_TRUE(loop_store.Open().ok());
+  std::unordered_map<std::string, Job> group_jobs;
+  int learn_events = 0, failed_baselines = 0;
+  for (const Job& job : jobs) {
+    JobAnalysis analysis = loop_pipeline.AnalyzeJob(job);
+    if (analysis.default_metrics.failed) ++failed_baselines;
+    if (loop_store.LearnFromAnalysis(analysis)) {
+      ++learn_events;
+      group_jobs.emplace(analysis.default_plan.signature.ToHexString(), job);
+    }
+  }
+  ASSERT_TRUE(RunValidationGate(loop_pipeline, group_jobs, loop_store).ok());
+  // The slice covers a lost baseline and a candidate retired on re-run.
+  ASSERT_GT(failed_baselines, 0);
+  ASSERT_GT(loop_store.num_serving(), 0);
+  ASSERT_GT(loop_store.num_retired(), 0);
+
+  SteeringPipeline pipeline(&optimizer, &simulator, pipeline_options);
+  DurableRecommenderStore store;
+  ASSERT_TRUE(store.Open().ok());
+  LearnDayStats stats;
+  ASSERT_TRUE(LearnDay(pipeline, jobs, store, &stats).ok());
+  EXPECT_EQ(stats.analyzed, static_cast<int>(jobs.size()));
+  EXPECT_EQ(stats.learn_events, learn_events);
+  EXPECT_EQ(stats.failed_baselines, failed_baselines);
+  EXPECT_EQ(store.applied_seq(), loop_store.applied_seq());
+  EXPECT_EQ(store.SerializeState(), loop_store.SerializeState());
+}
+
+TEST(ServiceIntegration, LearnDayOnNoJobsChangesNothing) {
+  Workload workload(WorkloadSpec::WorkloadB(0.003));
+  Optimizer optimizer(&workload.catalog());
+  ExecutionSimulator simulator(&workload.catalog());
+  SteeringPipeline pipeline(&optimizer, &simulator);
+  DurableRecommenderStore store;
+  ASSERT_TRUE(store.Open().ok());
+  // A pending candidate with no job to re-run it: the gate skips it.
+  SteeringRecommender::CandidateObservation observation;
+  observation.signature.Set(3);
+  observation.config = RuleConfig::AllEnabled();
+  observation.improvement_pct = -20.0;
+  ASSERT_TRUE(store.LearnCandidate(observation));
+  std::string before = store.SerializeState();
+  uint64_t seq = store.applied_seq();
+
+  LearnDayStats stats;
+  stats.analyzed = 5;  // LearnDay resets the counts
+  ASSERT_TRUE(LearnDay(pipeline, {}, store, &stats).ok());
+  EXPECT_EQ(stats.analyzed, 0);
+  EXPECT_EQ(stats.learn_events, 0);
+  EXPECT_EQ(stats.failed_baselines, 0);
+  EXPECT_EQ(store.applied_seq(), seq);
+  EXPECT_EQ(store.SerializeState(), before);
+  EXPECT_EQ(store.num_pending_validation(), 1);
 }
 
 }  // namespace

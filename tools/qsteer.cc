@@ -99,12 +99,13 @@
 //
 // Hint strings use the §3.2 flag syntax, e.g.
 //   qsteer compile B 4 7 "DISABLE(UnionAllToUnionAll);ENABLE(CorrelatedJoinOnUnionAll2)"
+#include <algorithm>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
+#include <functional>
 #include <future>
 #include <string>
-#include <unordered_map>
 #include <vector>
 
 #include "catalog/calibration.h"
@@ -636,27 +637,15 @@ int CmdServe(int argc, char** argv) {
                 cache.warm_loaded == 0 ? " (cold start)" : "");
   }
 
-  // Day 1 offline: learn candidates (journaled through the durable store)
-  // and keep one base job per group for the validation re-runs. Analyses
-  // run on the service's pipeline, so its compile cache and counters see
-  // them too.
-  std::unordered_map<std::string, Job> group_rep;
-  int learn_events = 0, analyzed = 0;
-  for (const Job& job : workload.JobsForDay(1)) {
-    if (analyzed >= 30) break;
-    ++analyzed;
-    JobAnalysis analysis = service.pipeline().AnalyzeJob(job);
-    if (service.store().LearnFromAnalysis(analysis)) {
-      ++learn_events;
-      group_rep.emplace(analysis.default_plan.signature.ToHexString(), job);
-    }
-  }
-  std::printf("day 1 offline: %d analyzed, %d learn events, %d groups\n", analyzed,
-              learn_events, service.store().num_groups());
-
-  // Validation gate: candidates must survive clean re-runs before serving.
-  // qsteer-lint: allow(unchecked-status) reports go to the store, which cannot fail them
-  (void)RunValidationGate(service.pipeline(), group_rep, service.store());
+  // Day 1 offline: learn and validate on the service's pipeline, so its
+  // compile cache and counters see the analyses too.
+  std::vector<Job> day1 = workload.JobsForDay(1);
+  day1.resize(std::min<size_t>(day1.size(), 30));
+  LearnDayStats day1_stats;
+  // qsteer-lint: allow(unchecked-status) the store learns and takes the reports, and cannot fail them
+  (void)LearnDay(service.pipeline(), day1, service.store(), &day1_stats);
+  std::printf("day 1 offline: %d analyzed, %d learn events, %d groups\n", day1_stats.analyzed,
+              day1_stats.learn_events, service.store().num_groups());
   std::printf("validation: %d groups serving, %d rejected\n", service.store().num_serving(),
               service.store().num_retired());
 
@@ -807,43 +796,24 @@ int CmdServeFleet(int argc, char** argv) {
     std::printf("replica %d: %s\n", i, store->recovery().ToString().c_str());
   }
 
-  // Day 1 offline: analyze on this process, learn through the leader (the
-  // mutations replicate synchronously to every follower).
-  int analyzed = 0, learn_events = 0;
-  std::unordered_map<std::string, Job> group_rep;
-  for (const Job& job : workload.JobsForDay(1)) {
-    if (analyzed >= 20) break;
-    ++analyzed;
-    JobAnalysis analysis = pipeline.AnalyzeJob(job);
-    if (analysis.default_plan.root == nullptr) continue;
-    bool learned = false;
-    status = fleet.LearnFromAnalysis(analysis, &learned);
-    if (!status.ok()) {
-      std::fprintf(stderr, "qsteer serve-fleet: learn failed: %s\n",
-                   status.ToString().c_str());
-      return 1;
-    }
-    if (!learned) continue;
-    ++learn_events;
-    group_rep.emplace(analysis.default_plan.signature.ToHexString(), job);
-  }
-  // Validation re-runs read the leader's pending candidates and report
-  // through the fleet, so the verdicts replicate like any other mutation.
+  // Day 1 offline: learn and report verdicts through the leader, which
+  // replicates them to every follower; the gate reads its candidates.
+  std::vector<Job> day1 = workload.JobsForDay(1);
+  day1.resize(std::min<size_t>(day1.size(), 20));
   std::shared_ptr<DurableRecommenderStore> leader =
       fleet.replica_store(fleet.leader_id());
-  status = RunValidationGate(pipeline, group_rep, *leader,
-                             [&fleet](const RuleSignature& signature, double change_pct) {
-                               return fleet.ObserveValidation(signature, change_pct);
-                             });
+  LearnDayStats day1_stats;
+  status = LearnDay(pipeline, day1, *leader, &day1_stats,
+                    std::bind_front(&ReplicationFleet::LearnFromAnalysis, &fleet),
+                    std::bind_front(&ReplicationFleet::ObserveValidation, &fleet));
   if (!status.ok()) {
-    std::fprintf(stderr, "qsteer serve-fleet: validation failed: %s\n",
-                 status.ToString().c_str());
+    std::fprintf(stderr, "qsteer serve-fleet: day 1 failed: %s\n", status.ToString().c_str());
     return 1;
   }
   std::printf("day 1 offline: %d analyzed, %d learn events, %d groups, %d serving, "
               "%d retired\n",
-              analyzed, learn_events, leader->num_groups(), leader->num_serving(),
-              leader->num_retired());
+              day1_stats.analyzed, day1_stats.learn_events, leader->num_groups(),
+              leader->num_serving(), leader->num_retired());
 
   // Days 2..N online: serve every job's signature through the fleet, with
   // hashed kill/restart churn at day boundaries.
