@@ -2,12 +2,14 @@
 // binary reproduces one table or figure of the paper and prints the paper's
 // reported values next to the measured ones.
 //
-// Environment knobs:
-//   QSTEER_BENCH_SCALE    multiplier on workload sizes (default 1.0; >1 makes
-//                         the run bigger and slower, <1 smaller).
-//   QSTEER_BENCH_THREADS  worker threads for the parallel pipeline stages
-//                         (default 0 = serial; -1 = one per hardware thread).
-//                         Results are bit-identical across values.
+// Environment knobs (a value outside the stated range, or not a number,
+// exits 2 naming the variable):
+//   QSTEER_BENCH_SCALE    multiplier on workload sizes in [1e-9, 1000]
+//                         (default 1.0; >1 makes the run bigger and slower,
+//                         <1 smaller).
+//   QSTEER_BENCH_THREADS  worker threads for the parallel pipeline stages in
+//                         [-1, 256] (default 0 = serial; -1 = one per hardware
+//                         thread). Results are bit-identical across values.
 #ifndef QSTEER_BENCH_BENCH_UTIL_H_
 #define QSTEER_BENCH_BENCH_UTIL_H_
 
@@ -20,21 +22,10 @@
 
 namespace qsteer::bench {
 
-inline double BenchScale() {
-  const char* env = std::getenv("QSTEER_BENCH_SCALE");
-  if (env == nullptr) return 1.0;
-  double v = std::atof(env);
-  return v > 0.0 ? v : 1.0;
-}
-
-inline int BenchThreads() {
-  const char* env = std::getenv("QSTEER_BENCH_THREADS");
-  return env == nullptr ? 0 : std::atoi(env);
-}
-
-/// Reads a numeric command-line value the way the CLI does. A value that is
-/// not a number in [min_value, max_value] exits 2 naming `name`, so a typo
-/// such as "O.9" cannot silently move a CI floor the way atof's 0 would.
+/// Reads a numeric command-line value or environment knob the way the CLI
+/// does. A value that is not a number in [min_value, max_value] exits 2
+/// naming `name`, so a typo such as "O.9" cannot silently move a CI floor
+/// the way atof's 0 would.
 inline int IntArg(const char* name, const char* value, int min_value, int max_value) {
   int out = 0;
   if (ParseIntArg(value, min_value, max_value, &out)) return out;
@@ -50,6 +41,16 @@ inline double DoubleArg(const char* name, const char* value, double min_value,
   std::fprintf(stderr, "bad %s '%s' (expected a number in [%g, %g])\n", name, value,
                min_value, max_value);
   std::exit(2);
+}
+
+inline double BenchScale() {
+  const char* env = std::getenv("QSTEER_BENCH_SCALE");
+  return env == nullptr ? 1.0 : DoubleArg("QSTEER_BENCH_SCALE", env, 1e-9, 1000.0);
+}
+
+inline int BenchThreads() {
+  const char* env = std::getenv("QSTEER_BENCH_THREADS");
+  return env == nullptr ? 0 : IntArg("QSTEER_BENCH_THREADS", env, -1, 256);
 }
 
 /// Workload specs used by all benches: paper-proportioned, at roughly 1/200

@@ -79,15 +79,55 @@ ExprId Memo::AddExpr(Operator op, ChildVec children, GroupId target_group, int r
   }
   expr.group = target_group;
 
-  ExprId id = static_cast<ExprId>(exprs_.size());
-  exprs_.push_back(std::move(expr));
-  Group& grp = groups_[static_cast<size_t>(target_group)];
-  grp.exprs.push_back(id);
-  if (grp.representative == kInvalidExpr && exprs_.back().is_logical) {
-    grp.representative = id;
-  }
+  ExprId id = Append(std::move(expr));
   slot.key = key;
   slot.id = id;
+  return id;
+}
+
+ExprId Memo::AddProposal(Operator op, ChildVec children, GroupId target_group, int rule_id,
+                         ExprId source_expr) {
+  if (first_proposal_ == kInvalidExpr) first_proposal_ = num_exprs();
+  const uint64_t op_hash = op.Hash(/*for_template=*/false);
+  const uint64_t key = ExprKey(op_hash, children);
+  DedupSlot& slot = DedupSlotFor(key);
+  ExprId same_as = kInvalidExpr;
+  if (slot.id != kInvalidExpr) {
+    // The slot holds an explored expression or the first proposal of its
+    // kind, never a repeat, so `same_as` always names the first.
+    const GroupExpr& existing = exprs_[static_cast<size_t>(slot.id)];
+    if (existing.op_hash == op_hash && existing.children == children) {
+      if (slot.id < first_proposal_) return kInvalidExpr;
+      same_as = slot.id;
+    }
+  } else {
+    ++dedup_used_;
+  }
+
+  GroupExpr expr;
+  expr.is_logical = op.IsLogical();
+  expr.op = std::move(op);
+  expr.children = std::move(children);
+  expr.op_hash = op_hash;
+  expr.group = target_group;
+  expr.rule_id = rule_id;
+  expr.source_expr = source_expr;
+  expr.same_as = same_as;
+  ExprId id = Append(std::move(expr));
+  if (same_as == kInvalidExpr) {
+    slot.key = key;
+    slot.id = id;
+  }
+  return id;
+}
+
+ExprId Memo::Append(GroupExpr&& expr) {
+  const ExprId id = num_exprs();
+  exprs_.push_back(std::move(expr));
+  const GroupExpr& added = exprs_.back();
+  Group& grp = groups_[static_cast<size_t>(added.group)];
+  grp.exprs.push_back(id);
+  if (grp.representative == kInvalidExpr && added.is_logical) grp.representative = id;
   return id;
 }
 
@@ -118,15 +158,6 @@ void Memo::CollectProvenance(ExprId id, std::vector<int>* rule_ids) const {
     if (e.rule_id >= 0) rule_ids->push_back(e.rule_id);
     id = e.source_expr;
   }
-}
-
-Memo Memo::Clone() const {
-  Memo copy;
-  copy.groups_ = groups_;
-  copy.exprs_ = exprs_;
-  copy.dedup_ = dedup_;
-  copy.dedup_used_ = dedup_used_;
-  return copy;
 }
 
 }  // namespace qsteer

@@ -45,6 +45,10 @@ struct GroupExpr {
   /// Expression this one was derived from (rewrite source / logical
   /// expression an implementation rule implemented); -1 for initial ones.
   ExprId source_expr = kInvalidExpr;
+  /// For a proposal (Memo::AddProposal): the first earlier proposal that is
+  /// the same expression; kInvalidExpr for the first of its kind and for
+  /// every other expression.
+  ExprId same_as = kInvalidExpr;
   bool is_logical = true;
 };
 
@@ -80,10 +84,11 @@ struct Winner {
 };
 
 /// A set of equivalent expressions. It holds no search state: the
-/// optimizer's winners and derived statistics live in per-compile tables
-/// indexed by GroupId, which the memo never sees. No expression or group is
-/// added once implementation returns, so those tables are sized once.
+/// optimizer's winners and derived statistics live in tables indexed by
+/// GroupId, which the memo never sees. No group is added once exploration
+/// returns, so those tables are sized once.
 struct Group {
+  /// The group's explored expressions, then its proposals in table order.
   std::vector<ExprId> exprs;
   /// Sorted output column ids.
   std::vector<ColumnId> output_columns;
@@ -114,6 +119,17 @@ class Memo {
   ExprId AddExpr(Operator op, ChildVec children, GroupId target_group, int rule_id,
                  ExprId source_expr, uint64_t op_hash = kNoOpHash);
 
+  /// Adds an implementation rule's proposal, a physical expression over
+  /// existing groups, to `target_group`'s proposal table. A proposal that
+  /// repeats an explored expression is dropped (returns kInvalidExpr), as
+  /// AddExpr would drop it. One that repeats an earlier proposal is added
+  /// all the same, with `same_as` naming the first of them: which of the
+  /// two a compile keeps depends on the rules it enables. Proposals follow
+  /// every explored expression; once one is added, AddExpr and Insert must
+  /// not be called again.
+  ExprId AddProposal(Operator op, ChildVec children, GroupId target_group, int rule_id,
+                     ExprId source_expr);
+
   const Group& group(GroupId id) const { return groups_[static_cast<size_t>(id)]; }
   Group& group(GroupId id) { return groups_[static_cast<size_t>(id)]; }
   const GroupExpr& expr(ExprId id) const { return exprs_[static_cast<size_t>(id)]; }
@@ -121,16 +137,15 @@ class Memo {
 
   int num_groups() const { return static_cast<int>(groups_.size()); }
   int num_exprs() const { return static_cast<int>(exprs_.size()); }
+  /// Id of the first proposal: every id below it is an explored expression.
+  /// num_exprs() while no proposal has been added.
+  ExprId first_proposal() const {
+    return first_proposal_ == kInvalidExpr ? num_exprs() : first_proposal_;
+  }
 
   /// Collects the transitive provenance rule ids of an expression: the rule
   /// that produced it plus the provenance of everything it was derived from.
   void CollectProvenance(ExprId id, std::vector<int>* rule_ids) const;
-
-  /// Deep copy, preserving every GroupId/ExprId assignment exactly. A
-  /// compile session stores the explored memo of one configuration, and a
-  /// later compile with the same exploration bits clones it instead of
-  /// normalizing, inserting and exploring again.
-  Memo Clone() const;
 
  private:
   /// One slot of the dedup table; `id == kInvalidExpr` marks it empty.
@@ -142,6 +157,8 @@ class Memo {
   static uint64_t ExprKey(uint64_t op_hash, const ChildVec& children);
   GroupId InsertNode(const PlanNode* node,
                      std::unordered_map<const PlanNode*, GroupId>* visited);
+  /// Appends `expr` to its group and returns its id.
+  ExprId Append(GroupExpr&& expr);
   /// The slot holding `key`, or the empty slot where it belongs. Grows the
   /// table first, so the caller may claim an empty slot.
   DedupSlot& DedupSlotFor(uint64_t key);
@@ -154,6 +171,7 @@ class Memo {
   /// between distinct expressions) keeps the latest id.
   std::vector<DedupSlot> dedup_;
   size_t dedup_used_ = 0;
+  ExprId first_proposal_ = kInvalidExpr;
 };
 
 }  // namespace qsteer

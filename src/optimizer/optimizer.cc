@@ -3,6 +3,8 @@
 #include <algorithm>
 #include <chrono>
 #include <cmath>
+#include <cstdio>
+#include <cstdlib>
 #include <deque>
 #include <unordered_map>
 
@@ -10,115 +12,75 @@ namespace qsteer {
 
 namespace {
 
-/// Per-compilation state (the "optimize context" of the threading model,
-/// DESIGN.md "Threading model"): every mutable structure a compilation
-/// touches — memo, derived statistics, the winner table and search
-/// scratch, extraction caches, the rule-provenance log, and the
-/// column-universe overlay — lives here, on the calling thread's stack.
-/// Concurrent Optimizer::Compile calls on one `const Optimizer` therefore
-/// never share mutable state.
-class CompileState {
+using Family = CompileSession::Family;
+
+/// A compile's wall-clock budget, shared by the family's exploration and
+/// the search.
+class Deadline {
  public:
-  CompileState(const Optimizer& optimizer, const Job& job, const RuleConfig& config,
-               const CompileControl& control, CompileSession* session)
-      : options_(optimizer.options()),
-        config_(config),
-        control_(control),
-        session_(session),
-        registry_(RuleRegistry::Instance()),
-        universe_(job.columns),
-        est_view_(optimizer.catalog(), &universe_, job.day) {
-    ctx_.memo = &memo_;
-    ctx_.universe = &universe_;
-    exchange_op_.kind = OpKind::kExchange;
-    sort_op_.kind = OpKind::kSort;
-    if (control_.timeout_s > 0.0) {
+  explicit Deadline(const CompileControl& control) : timeout_s_(control.timeout_s) {
+    if (timeout_s_ > 0.0) {
       // qsteer-lint: allow(wall-clock) compile deadline; CompileControl documents timeouts as nondeterministic
       deadline_ = std::chrono::steady_clock::now() +
                   std::chrono::duration_cast<std::chrono::steady_clock::duration>(
-                      std::chrono::duration<double>(control_.timeout_s));
+                      std::chrono::duration<double>(timeout_s_));
     }
   }
-
-  Result<CompiledPlan> Run(const Job& job) {
-    const GroupId root = NormalizeAndExplore(job);
-    Implement();
-    // The memo is final from here on: size the per-group search state once.
-    group_state_.resize(static_cast<size_t>(memo_.num_groups()));
-    winners_.reserve(static_cast<size_t>(memo_.num_groups()));
-    PhysProp any = PhysProp::Any();
-    const int winner = OptimizeGroup(root, any);
-    if (aborted_) return Status::DeadlineExceeded("compile deadline exceeded");
-    if (!Feasible(winner)) {
-      return Status::CompilationFailed(
-          "no complete physical plan under this rule configuration");
-    }
-    CompiledPlan plan;
-    plan.est_cost = WinnerAt(winner).cost;
-    extracted_.resize(winners_.size());
-    plan.root = ExtractPlan(winner, &plan.signature);
-    for (int rule_id : normalization_rules_used_) plan.signature.Set(rule_id);
-    AttributeMarkerRules(plan.root, &plan.signature);
-    plan.est_output_rows = GroupStats(root).rows;
-    plan.memo_groups = memo_.num_groups();
-    plan.memo_exprs = memo_.num_exprs();
-    return plan;
-  }
-
- private:
-  /// Inserts the (config-dependently) normalized input plan into the memo,
-  /// explores it and returns the root group. With a session, a
-  /// configuration whose exploration bits equal the stored exploration's
-  /// key clones that memo and column overlay instead: neither phase reads
-  /// an implementation rule, and Memo::Clone preserves every id, so the
-  /// result is bit-identical. An exploration the deadline cut short is not
-  /// stored.
-  GroupId NormalizeAndExplore(const Job& job) {
-    BitVector256 key;
-    if (session_ != nullptr) {
-      key = CompileSession::ExplorationKey(config_);
-      if (std::shared_ptr<const CompileSession::ExploredMemo> explored = session_->Find(key)) {
-        memo_ = explored->memo.Clone();
-        universe_ = explored->universe;
-        normalization_rules_used_ = explored->normalization_rules;
-        return explored->root;
-      }
-    }
-    const GroupId root = memo_.Insert(NormalizeInputPlan(job.root));
-    Explore();
-    if (session_ != nullptr && !aborted_) {
-      auto explored = std::make_shared<CompileSession::ExploredMemo>();
-      explored->key = key;
-      explored->memo = memo_.Clone();
-      explored->root = root;
-      explored->normalization_rules = normalization_rules_used_;
-      explored->universe = universe_;
-      session_->Store(std::move(explored));
-    }
-    return root;
-  }
-
-  // ---------------------------------------------------------------------
-  // Compile budget
-  // ---------------------------------------------------------------------
 
   /// Polled between memo operations. The wall clock is only consulted
   /// under a timeout, and then every 64 polls, to keep the unbudgeted hot
   /// path unchanged.
-  bool Aborted() {
-    if (aborted_) return true;
-    if (control_.timeout_s > 0.0 && (poll_count_++ & 63) == 0 &&
+  bool Expired() {
+    if (expired_) return true;
+    if (timeout_s_ > 0.0 && (poll_count_++ & 63) == 0 &&
         // qsteer-lint: allow(wall-clock) deadline poll; only reached when the caller opted into a timeout
         std::chrono::steady_clock::now() >= deadline_) {
-      return aborted_ = true;
+      return expired_ = true;
     }
     return false;
   }
 
-  // ---------------------------------------------------------------------
-  // Exploration and implementation
-  // ---------------------------------------------------------------------
+  /// Whether an earlier poll found the deadline passed.
+  bool expired() const { return expired_; }
 
+ private:
+  double timeout_s_;
+  std::chrono::steady_clock::time_point deadline_{};
+  uint64_t poll_count_ = 0;
+  bool expired_ = false;
+};
+
+/// Builds an exploration family: inserts the (config-dependently)
+/// normalized input plan into the family's memo, explores it and fills the
+/// proposal table. Rules mint their columns into the family's overlay.
+class FamilyExplorer {
+ public:
+  FamilyExplorer(const OptimizerOptions& options, const RuleConfig& config, Deadline* deadline,
+                Family* family)
+      : options_(options),
+        config_(config),
+        deadline_(deadline),
+        registry_(RuleRegistry::Instance()),
+        family_(family),
+        memo_(family->memo),
+        normalization_rules_used_(family->normalization_rules) {
+    ctx_.memo = &memo_;
+    ctx_.universe = &family->universe;
+  }
+
+  /// `every_rule` proposes for every implementation rule, so that each
+  /// configuration with the family's key finds its own rules' proposals (a
+  /// family a session stores); otherwise only for the enabled rules (a
+  /// family of one). Returns false when the deadline expired first.
+  bool Build(const Job& job, bool every_rule) {
+    family_->root = memo_.Insert(NormalizeInputPlan(job.root));
+    Explore();
+    Propose(every_rule);
+    family_->stats.resize(static_cast<size_t>(memo_.num_groups()));
+    return !deadline_->expired();
+  }
+
+ private:
   // -----------------------------------------------------------------------
   // Input normalization (config-dependent).
   //
@@ -348,17 +310,17 @@ class CompileState {
     return out;
   }
 
-  /// Explore and Implement offer an expression only the rules indexed under
+  /// Explore and Propose offer an expression only the rules indexed under
   /// its kind (RuleRegistry::transformation_rules/implementation_rules), in
   /// ascending id order; every other rule would have proposed nothing. The
-  /// expression's kind and group are read once up front: Materialize grows
-  /// the memo's expression vector, so no GroupExpr& is held across it.
+  /// expression's kind and group are read once up front: adding to the memo
+  /// grows its expression vector, so no GroupExpr& is held across it.
   void Explore() {
     std::vector<OpTree> proposals;
     // Iterating by ascending ExprId covers expressions added mid-loop, so a
     // single sweep reaches the rewrite fixpoint up to the budgets.
     for (ExprId id = 0; id < memo_.num_exprs(); ++id) {
-      if (Aborted()) return;
+      if (deadline_->Expired()) return;
       if (memo_.num_exprs() >= options_.max_total_exprs) break;
       if (!memo_.expr(id).is_logical) continue;
       const OpKind kind = memo_.expr(id).op.kind;
@@ -379,31 +341,47 @@ class CompileState {
     }
   }
 
-  void Implement() {
-    int logical_count = memo_.num_exprs();  // snapshot: impls add physical only
+  /// Applies the implementation rules to every logical expression, into the
+  /// proposal table. An implementation rule proposes at most one physical
+  /// node whose children are existing groups, so a proposal adds no group,
+  /// and the group cap never applies: every implementation must be able to
+  /// land, or groups saturated by rewrites could never get a physical plan.
+  void Propose(bool every_rule) {
+    const ExprId explored = memo_.num_exprs();  // snapshot: proposals follow
     std::vector<OpTree> proposals;
-    for (ExprId id = 0; id < logical_count; ++id) {
-      if (Aborted()) return;
+    for (ExprId id = 0; id < explored; ++id) {
+      if (deadline_->Expired()) return;
       if (!memo_.expr(id).is_logical) continue;
       const OpKind kind = memo_.expr(id).op.kind;
       const GroupId target = memo_.expr(id).group;
       for (const Rule* rule : registry_.implementation_rules(kind)) {
-        if (!config_.IsEnabled(rule->id())) continue;
+        if (!every_rule && !config_.IsEnabled(rule->id())) continue;
         proposals.clear();
         rule->Apply(ctx_, memo_.expr(id), &proposals);
         for (OpTree& tree : proposals) {
-          Materialize(std::move(tree), target, rule->id(), id, /*enforce_cap=*/false);
+          bool over_groups = !tree.is_leaf;
+          ChildVec children;
+          children.reserve(tree.children.size());
+          for (const OpTree& child : tree.children) {
+            over_groups &= child.is_leaf;
+            children.push_back(child.leaf_group);
+          }
+          if (!over_groups) {
+            std::fprintf(stderr, "optimizer: %s proposed more than one node over existing groups\n",
+                         rule->name().c_str());
+            std::abort();
+          }
+          memo_.AddProposal(std::move(tree.op), std::move(children), target, rule->id(), id);
         }
       }
     }
   }
 
-  /// Materializes a rule output into the memo, consuming it. Internal nodes
+  /// Materializes a rewrite into the memo, consuming it. Internal nodes
   /// land in fresh groups; the root is added to `target_group`. A leaf at
   /// the root aliases the leaf group's logical expressions into the target
   /// group (group equivalence without full merging).
-  void Materialize(OpTree&& tree, GroupId target_group, int rule_id, ExprId source,
-                   bool enforce_cap = true) {
+  void Materialize(OpTree&& tree, GroupId target_group, int rule_id, ExprId source) {
     if (tree.is_leaf) {
       const Group& leaf = memo_.group(tree.leaf_group);
       int copied = 0;
@@ -427,11 +405,8 @@ class CompileState {
     for (OpTree& child : tree.children) {
       children.push_back(MaterializeChild(std::move(child), rule_id, source));
     }
-    // The exploration budget only limits *logical* alternatives; every
-    // enabled implementation must be able to land, or groups saturated by
-    // rewrites could never get a physical plan.
-    if (enforce_cap && static_cast<int>(memo_.group(target_group).exprs.size()) >=
-                           options_.max_exprs_per_group) {
+    if (static_cast<int>(memo_.group(target_group).exprs.size()) >=
+        options_.max_exprs_per_group) {
       return;
     }
     memo_.AddExpr(std::move(tree.op), std::move(children), target_group, rule_id, source);
@@ -449,11 +424,111 @@ class CompileState {
     return memo_.expr(id).group;
   }
 
+  const OptimizerOptions& options_;
+  const RuleConfig& config_;
+  Deadline* deadline_;
+  const RuleRegistry& registry_;
+  Family* family_;
+  Memo& memo_;
+  RuleContext ctx_;
+  std::vector<int>& normalization_rules_used_;
+  std::unordered_map<const PlanNode*, std::vector<ColumnId>> norm_cols_;
+  /// Synthetic normalization nodes pinned so address-keyed caches stay valid.
+  std::vector<PlanNodePtr> norm_keepalive_;
+};
+
+/// Per-compilation search state (the "optimize context" of the threading
+/// model, DESIGN.md "Threading model"): the landed proposals, the
+/// statistics the family lacks, the winner table and search frames, and
+/// the extraction caches live here, on the calling thread's stack. The
+/// family is read through a const reference, so concurrent
+/// Optimizer::Compile calls on one `const Optimizer` never share mutable
+/// state, even when they read one family.
+class CompileState {
+ public:
+  CompileState(const Optimizer& optimizer, const Job& job, const RuleConfig& config,
+               const Family& family, Deadline* deadline)
+      : options_(optimizer.options()),
+        config_(config),
+        deadline_(deadline),
+        family_(family),
+        memo_(family.memo),
+        first_proposal_(family.memo.first_proposal()),
+        est_view_(optimizer.catalog(), &family.universe, job.day) {
+    exchange_op_.kind = OpKind::kExchange;
+    sort_op_.kind = OpKind::kSort;
+  }
+
+  Result<CompiledPlan> Run() {
+    Land();
+    // The family is final: size the per-group search state once.
+    group_state_.resize(static_cast<size_t>(memo_.num_groups()));
+    winners_.reserve(static_cast<size_t>(memo_.num_groups()));
+    PhysProp any = PhysProp::Any();
+    const int winner = OptimizeGroup(family_.root, any);
+    if (deadline_->expired()) return Status::DeadlineExceeded("compile deadline exceeded");
+    if (!Feasible(winner)) {
+      return Status::CompilationFailed(
+          "no complete physical plan under this rule configuration");
+    }
+    CompiledPlan plan;
+    plan.est_cost = WinnerAt(winner).cost;
+    extracted_.resize(winners_.size());
+    plan.root = ExtractPlan(winner, &plan.signature);
+    for (int rule_id : family_.normalization_rules) plan.signature.Set(rule_id);
+    AttributeMarkerRules(plan.root, &plan.signature);
+    plan.est_output_rows = GroupStats(family_.root).rows;
+    plan.memo_groups = memo_.num_groups();
+    plan.memo_exprs = first_proposal_ + num_landed_;
+    return plan;
+  }
+
+  /// Hands the statistics this compile derived to `family`, the family it
+  /// built and searched, before the family is stored.
+  void MoveStatsInto(Family* family) {
+    for (size_t g = 0; g < group_state_.size(); ++g) {
+      if (group_state_[g].stats_ready) family->stats[g] = std::move(group_state_[g].stats);
+    }
+  }
+
+ private:
+  /// Lands the proposals of the enabled rules, in table order: a proposal
+  /// lands unless an earlier landed one is the same expression. That is
+  /// what Memo::AddExpr would keep of a fresh implementation under this
+  /// configuration, so the expressions the search reads, their order and
+  /// memo_exprs are the same.
+  void Land() {
+    landed_.assign(static_cast<size_t>(memo_.num_exprs() - first_proposal_), 0);
+    for (ExprId id = first_proposal_; id < memo_.num_exprs(); ++id) {
+      const GroupExpr& proposal = memo_.expr(id);
+      if (!config_.IsEnabled(proposal.rule_id)) continue;
+      const ExprId same = proposal.same_as == kInvalidExpr ? id : proposal.same_as;
+      uint8_t& taken = landed_[static_cast<size_t>(same - first_proposal_)];
+      if ((taken & kSameLanded) != 0) continue;
+      taken |= kSameLanded;
+      landed_[static_cast<size_t>(id - first_proposal_)] |= kLanded;
+      ++num_landed_;
+    }
+  }
+
+  /// True for the physical expressions the search reads: the proposals
+  /// that landed, and any physical expression of the input plan.
+  bool Landed(ExprId id) const {
+    if (id >= first_proposal_) {
+      return (landed_[static_cast<size_t>(id - first_proposal_)] & kLanded) != 0;
+    }
+    return !memo_.expr(id).is_logical;
+  }
+
   // ---------------------------------------------------------------------
   // Logical statistics (estimated view, representative expression)
   // ---------------------------------------------------------------------
 
+  /// The family's statistics for the group when the compile that explored
+  /// it derived them; otherwise derived once into this compile's table.
   const LogicalStats& GroupStats(GroupId gid) {
+    const std::optional<LogicalStats>& shared = family_.stats[static_cast<size_t>(gid)];
+    if (shared.has_value()) return *shared;
     GroupSearch& state = group_state_[static_cast<size_t>(gid)];
     if (state.stats_ready) return state.stats;
     ExprId repr = memo_.group(gid).representative;
@@ -463,9 +538,7 @@ class CompileState {
       // nested derivation has returned.
       for (GroupId c : expr.children) GroupStats(c);
       stats_input_.clear();
-      for (GroupId c : expr.children) {
-        stats_input_.push_back(&group_state_[static_cast<size_t>(c)].stats);
-      }
+      for (GroupId c : expr.children) stats_input_.push_back(&GroupStats(c));
       state.stats = DeriveStats(expr.op, stats_input_, est_view_);
     }
     state.stats_ready = true;
@@ -823,7 +896,7 @@ class CompileState {
   /// Nested calls grow winners_, so callers hold indices, never references,
   /// across them.
   int OptimizeGroup(GroupId gid, const PhysProp& required) {
-    if (Aborted()) return kNoWinner;
+    if (deadline_->Expired()) return kNoWinner;
     const uint64_t key = required.Key();
     const int found = FindWinner(gid, key);
     if (found != kNoWinner) return found;
@@ -837,11 +910,11 @@ class CompileState {
     Winner best;
     const LogicalStats& stats = GroupStats(gid);
 
-    // No expression is added during the search, so the group's expression
-    // list and every GroupExpr stay put across the nested calls.
+    // The family is immutable, so the group's expression list and every
+    // GroupExpr stay put across the nested calls.
     for (ExprId eid : memo_.group(gid).exprs) {
+      if (!Landed(eid)) continue;
       const GroupExpr& expr = memo_.expr(eid);
-      if (expr.is_logical) continue;
       EnumerateOptions(expr, required, &frame);
       for (size_t o = 0; o < frame.num_options; ++o) {
         Option& opt = frame.options[o];
@@ -988,23 +1061,20 @@ class CompileState {
 
   const OptimizerOptions& options_;
   const RuleConfig& config_;
-  const CompileControl& control_;
-  CompileSession* session_ = nullptr;
-  std::chrono::steady_clock::time_point deadline_{};
-  uint64_t poll_count_ = 0;
-  bool aborted_ = false;
-  const RuleRegistry& registry_;
-  Memo memo_;
-  /// Copy-on-write overlay over the job's (immutable, shared) root universe:
-  /// rule-minted columns land here, so concurrent compilations of the same
-  /// job never write to shared column state and each (job, config) compile
-  /// mints identical ids regardless of what else runs. Declared before
-  /// est_view_, which captures its address.
-  ColumnUniverse universe_;
+  Deadline* deadline_;
+  const Family& family_;
+  const Memo& memo_;
+  const ExprId first_proposal_;
   EstimatedStatsView est_view_;
-  RuleContext ctx_;
 
-  // Search state. Sized once Implement returns; see Run.
+  /// Indexed by proposal (id - first_proposal_).
+  static constexpr uint8_t kLanded = 1;
+  /// Set on the first proposal of a kind once one of its kind has landed.
+  static constexpr uint8_t kSameLanded = 2;
+  std::vector<uint8_t> landed_;
+  int num_landed_ = 0;
+
+  // Search state. Sized once the proposals have landed; see Run.
   /// A group's winner for one request: the request's PhysProp::Key() and
   /// the winner's index in winners_.
   struct WinnerSlot {
@@ -1032,10 +1102,6 @@ class CompileState {
 
   /// Indexed by winner; sized once the search returns.
   std::vector<PlanNodePtr> extracted_;
-  std::vector<int> normalization_rules_used_;
-  std::unordered_map<const PlanNode*, std::vector<ColumnId>> norm_cols_;
-  /// Synthetic normalization nodes pinned so address-keyed caches stay valid.
-  std::vector<PlanNodePtr> norm_keepalive_;
 };
 
 }  // namespace
@@ -1046,22 +1112,21 @@ BitVector256 CompileSession::ExplorationKey(const RuleConfig& config) {
 
 CompileSession CompileSession::Fork() const {
   CompileSession fork;
-  fork.explored_ = explored_;
+  fork.family_ = family_;
   return fork;
 }
 
-std::shared_ptr<const CompileSession::ExploredMemo> CompileSession::Find(
-    const BitVector256& key) {
-  if (explored_ == nullptr || explored_->key != key) {
+std::shared_ptr<const CompileSession::Family> CompileSession::Find(const BitVector256& key) {
+  if (family_ == nullptr || family_->key != key) {
     ++misses_;
     return nullptr;
   }
   ++hits_;
-  return explored_;
+  return family_;
 }
 
-void CompileSession::Store(std::shared_ptr<const ExploredMemo> explored) {
-  explored_ = std::move(explored);
+void CompileSession::Store(std::shared_ptr<const Family> family) {
+  family_ = std::move(family);
 }
 
 RuleConfig ProductionConfig(const Job& job) {
@@ -1079,8 +1144,28 @@ Result<CompiledPlan> Optimizer::Compile(const Job& job, const RuleConfig& config
   if (job.root == nullptr || job.root->op.kind != OpKind::kOutput) {
     return Status::InvalidArgument("job root must be an Output operator");
   }
-  CompileState state(*this, job, config, control, session);
-  return state.Run(job);
+  Deadline deadline(control);
+  const BitVector256 key =
+      session != nullptr ? CompileSession::ExplorationKey(config) : BitVector256();
+  std::shared_ptr<const Family> family = session != nullptr ? session->Find(key) : nullptr;
+  std::shared_ptr<Family> built;
+  if (family == nullptr) {
+    built = std::make_shared<Family>();
+    built->key = key;
+    built->universe = ColumnUniverse(job.columns);
+    if (!FamilyExplorer(options_, config, &deadline, built.get())
+             .Build(job, /*every_rule=*/session != nullptr)) {
+      return Status::DeadlineExceeded("compile deadline exceeded");
+    }
+    family = built;
+  }
+  CompileState state(*this, job, config, *family, &deadline);
+  Result<CompiledPlan> plan = state.Run();
+  if (session != nullptr && built != nullptr) {
+    state.MoveStatsInto(built.get());
+    session->Store(std::move(built));
+  }
+  return plan;
 }
 
 }  // namespace qsteer

@@ -11,6 +11,7 @@
 
 #include <cstdint>
 #include <memory>
+#include <optional>
 #include <vector>
 
 #include "catalog/catalog.h"
@@ -62,60 +63,72 @@ struct CompileControl {
   double timeout_s = 0.0;
 };
 
-/// Shares one explored memo across consecutive compiles of one job (span
-/// probes, the default compile, candidate recompiles). Input normalization
-/// and exploration read only the configuration's bits outside every
-/// implementation-rule list (RuleRegistry::exploration_rules), so
-/// configurations that differ only in implementation rules explore the
-/// same memo. The session keeps the last one explored: a compile whose
-/// exploration bits equal the stored key clones it and goes straight to
-/// implementation. Memo::Clone preserves every GroupId/ExprId, and the
-/// stored column overlay restores the columns exploration minted, so the
-/// result is bit-identical to a sessionless compile. The key is the masked
-/// bit vector itself, compared whole.
+/// Shares one exploration family across consecutive compiles of one job
+/// (span probes, the default compile, candidate recompiles). Input
+/// normalization and exploration read only the configuration's bits outside
+/// every implementation-rule list (RuleRegistry::exploration_rules), so
+/// configurations that differ only in implementation rules explore the same
+/// memo. What implementation adds to it does not depend on the
+/// configuration either, beyond which rules are enabled: each
+/// implementation rule proposes at most one physical node over existing
+/// groups, mints no column and reads only logical expressions. So the
+/// compile that explores also applies every implementation rule once, into
+/// the family's proposal table, and a later compile whose exploration bits
+/// equal the family's key lands the proposals of its enabled rules and goes
+/// straight to the cost search. The key is the masked bit vector itself,
+/// compared whole.
 ///
 /// One slot, not a map: the pipeline compiles a job's candidates in runs of
-/// equal bits, one run per session, so the previous exploration is the one
-/// the next compile can use, and memory stays at one explored memo per
-/// session.
+/// equal bits, one run per session, so the previous family is the one the
+/// next compile can use, and memory stays at one family per session.
 ///
 /// Not thread-safe: a session serves one compile at a time. To compile in
-/// parallel, give each worker a Fork; forks share the stored exploration
-/// read-only. A session must only ever see one job and one Optimizer.
+/// parallel, give each worker a Fork; forks share the stored family, which
+/// is immutable once stored, so they read it concurrently without a lock. A
+/// session must only ever see one job and one Optimizer.
 class CompileSession {
  public:
-  /// The memo after input normalization and exploration, and what the
-  /// later phases need from them.
-  struct ExploredMemo {
+  /// An exploration family: everything a compile under one exploration key
+  /// reads. The compile that explores builds it; once stored it is only
+  /// read.
+  struct Family {
     BitVector256 key;
+    /// The memo after input normalization and exploration, followed by the
+    /// proposal table (ids from memo.first_proposal() on): every
+    /// implementation rule applied once to every logical expression, in
+    /// (ExprId, registry) order. A compile's search reads the proposals
+    /// that land under its configuration (see Memo::AddProposal).
     Memo memo;
     GroupId root = kInvalidGroup;
     std::vector<int> normalization_rules;
-    /// The compile's column overlay, holding the columns exploration minted.
+    /// The column overlay, holding the columns exploration minted.
     ColumnUniverse universe;
+    /// Indexed by GroupId: the statistics the building compile's search
+    /// derived, empty for the groups it never reached. A group's statistics
+    /// come from its representative logical expression and the overlay
+    /// only, so every compile of the family would derive the same.
+    std::vector<std::optional<LogicalStats>> stats;
   };
 
   /// The configuration's exploration bits: its bits restricted to
   /// RuleRegistry::exploration_rules().
   static BitVector256 ExplorationKey(const RuleConfig& config);
 
-  /// A session that starts from this one's stored exploration, with zero
-  /// counts.
+  /// A session that starts from this one's stored family, with zero counts.
   CompileSession Fork() const;
 
-  /// The stored exploration when its key equals `key` (a hit), else null (a
+  /// The stored family when its key equals `key` (a hit), else null (a
   /// miss).
-  std::shared_ptr<const ExploredMemo> Find(const BitVector256& key);
-  /// Replaces the stored exploration.
-  void Store(std::shared_ptr<const ExploredMemo> explored);
+  std::shared_ptr<const Family> Find(const BitVector256& key);
+  /// Replaces the stored family.
+  void Store(std::shared_ptr<const Family> family);
 
-  /// Compiles that reused the stored exploration, and compiles that
-  /// explored.
+  /// Compiles that reused the stored family, and compiles that explored.
   int64_t hits() const { return hits_; }
   int64_t misses() const { return misses_; }
 
  private:
-  std::shared_ptr<const ExploredMemo> explored_;
+  std::shared_ptr<const Family> family_;
   int64_t hits_ = 0;
   int64_t misses_ = 0;
 };
@@ -123,10 +136,10 @@ class CompileSession {
 /// Thread-safety: an Optimizer is immutable after construction, and Compile
 /// is reentrant — concurrent Compile calls on one `const Optimizer` (same or
 /// different jobs, same or different configs) are data-race-free. All
-/// mutable per-compilation state (memo, derived-stats cache, extraction
-/// cache, rule-provenance log, column-universe overlay) lives in a per-call
-/// context on the calling thread; the Catalog and the job's root
-/// ColumnUniverse are only read. The parallel steering pipeline
+/// mutable per-compilation state (the family being built, derived-stats
+/// cache, extraction cache, column-universe overlay) lives in a per-call
+/// context on the calling thread; the Catalog, the job's root
+/// ColumnUniverse and a stored family are only read. The parallel steering pipeline
 /// (core/pipeline.h) relies on this to fan candidate recompilations out
 /// over a thread pool. See DESIGN.md "Threading model".
 class Optimizer {
@@ -141,11 +154,14 @@ class Optimizer {
   /// compilation never hangs on pathological memo growth).
   ///
   /// `session` (may be null) shares exploration across the compiles of one
-  /// job: when the exploration it stored last was made under this
-  /// configuration's exploration bits, the compile clones that memo and
-  /// skips normalization, insertion and exploration. The result is
-  /// bit-identical to a sessionless compile. Concurrent compiles need
-  /// distinct sessions (CompileSession::Fork).
+  /// job: when the family it stored last has this configuration's
+  /// exploration bits, the compile reads that family and skips
+  /// normalization, insertion, exploration and implementation. Otherwise it
+  /// builds a family, and stores it in `session` once exploration and
+  /// implementation completed under the deadline. Without a session the
+  /// compile builds a family of one, holding only its enabled rules'
+  /// proposals. The result is bit-identical either way. Concurrent compiles
+  /// need distinct sessions (CompileSession::Fork).
   ///
   /// Safe to call concurrently from multiple threads (see class comment).
   /// Deterministic: the same (job, config) yields a bit-identical plan no

@@ -17,6 +17,7 @@
 #include "common/file_io.h"
 
 #include "core/config_search.h"
+#include "core/hints.h"
 #include "core/pipeline.h"
 #include "core/span.h"
 #include "service/durable_store.h"
@@ -641,6 +642,52 @@ TEST_F(CompileCachePipelineTest, ForkStartsFromTheStoredExploration) {
   ASSERT_TRUE(optimizer_.Compile(job, def, CompileControl{}, &session).ok());
   EXPECT_EQ(session.hits(), 1);
   EXPECT_EQ(session.misses(), 1);
+}
+
+TEST(CompileSessionFamily, DisablingTheFirstOfTwoEqualProposalsLandsTheOther) {
+  // HashJoinImpl1 and GraceHashJoinImpl propose the same operator for a
+  // multi-key inner join, so with HashJoinImpl1 enabled its proposal lands
+  // and GraceHashJoinImpl's is a duplicate. The job `qsteer compile B 16 4`
+  // compiles; the counts were recorded before compiles shared proposals.
+  Workload workload(WorkloadSpec::WorkloadB(0.005));
+  const Optimizer optimizer(&workload.catalog());
+  const Job job = workload.MakeJob(16, 4);
+  const RuleConfig def = RuleConfig::Default();
+  Result<RuleConfig> without_hash = ParseHintString("DISABLE(HashJoinImpl1)");
+  ASSERT_TRUE(without_hash.ok());
+  const RuleRegistry& registry = RuleRegistry::Instance();
+  const RuleId hash = registry.FindByName("HashJoinImpl1");
+  const RuleId grace = registry.FindByName("GraceHashJoinImpl");
+
+  CompileSession session;
+  Result<CompiledPlan> first = optimizer.Compile(job, def, CompileControl{}, &session);
+  Result<CompiledPlan> second =
+      optimizer.Compile(job, without_hash.value(), CompileControl{}, &session);
+  ASSERT_TRUE(first.ok());
+  ASSERT_TRUE(second.ok());
+  EXPECT_EQ(session.misses(), 1);
+  EXPECT_EQ(session.hits(), 1);
+  EXPECT_EQ(first.value().memo_groups, 22);
+  EXPECT_EQ(first.value().memo_exprs, 130);
+  EXPECT_EQ(second.value().memo_groups, 22);
+  EXPECT_EQ(second.value().memo_exprs, 126);
+  EXPECT_TRUE(first.value().signature.Test(hash));
+  EXPECT_FALSE(first.value().signature.Test(grace));
+  EXPECT_TRUE(second.value().signature.Test(grace));
+  EXPECT_FALSE(second.value().signature.Test(hash));
+  EXPECT_EQ(PlanHash(first.value().root, false), PlanHash(second.value().root, false));
+  EXPECT_EQ(DoubleBits(first.value().est_cost), DoubleBits(second.value().est_cost));
+
+  for (const auto& [config, shared] :
+       {std::pair{def, &first.value()}, std::pair{without_hash.value(), &second.value()}}) {
+    Result<CompiledPlan> plain = optimizer.Compile(job, config);
+    ASSERT_TRUE(plain.ok());
+    EXPECT_EQ(PlanHash(plain.value().root, false), PlanHash(shared->root, false));
+    EXPECT_EQ(plain.value().signature, shared->signature);
+    EXPECT_EQ(DoubleBits(plain.value().est_cost), DoubleBits(shared->est_cost));
+    EXPECT_EQ(plain.value().memo_groups, shared->memo_groups);
+    EXPECT_EQ(plain.value().memo_exprs, shared->memo_exprs);
+  }
 }
 
 TEST_F(CompileCachePipelineTest, ConcurrentMixedAccessIsSafe) {

@@ -161,25 +161,42 @@ TEST(HashRange, PermutationsAndPrefixesStayDistinct) {
   EXPECT_EQ(static_cast<int>(keys.size()), inserted);
 }
 
-TEST(Memo, CloneReproducesEveryIdAssignment) {
+TEST(Memo, ProposalsLinkToTheFirstOfTheirKindAndDropExploredRepeats) {
   Memo memo;
-  ExprId s0 = memo.AddExpr(Scan(0), {}, kInvalidGroup, -1, kInvalidExpr);
-  GroupId g0 = memo.expr(s0).group;
-  ExprId sel = memo.AddExpr(Select(5), {g0}, kInvalidGroup, 10, s0);
-  GroupId gsel = memo.expr(sel).group;
+  ExprId scan = memo.AddExpr(Scan(0), {}, kInvalidGroup, -1, kInvalidExpr);
+  GroupId scan_group = memo.expr(scan).group;
+  ExprId sel = memo.AddExpr(Select(5), {scan_group}, kInvalidGroup, -1, kInvalidExpr);
+  GroupId sel_group = memo.expr(sel).group;
+  const int explored = memo.num_exprs();
+  EXPECT_EQ(memo.first_proposal(), explored);
 
-  Memo copy = memo.Clone();
-  ASSERT_EQ(copy.num_groups(), memo.num_groups());
-  ASSERT_EQ(copy.num_exprs(), memo.num_exprs());
-  EXPECT_EQ(copy.expr(sel).group, gsel);
-  EXPECT_EQ(copy.expr(sel).rule_id, 10);
-  EXPECT_EQ(copy.expr(sel).op_hash, memo.expr(sel).op_hash);
-  // The clone's dedup table must be live: re-adding dedups, new exprs get
-  // the same ids the original would assign.
-  EXPECT_EQ(copy.AddExpr(Select(5), {g0}, kInvalidGroup, -1, kInvalidExpr), sel);
-  ExprId in_copy = copy.AddExpr(Select(6), {g0}, gsel, 11, sel);
-  ExprId in_orig = memo.AddExpr(Select(6), {g0}, gsel, 11, sel);
-  EXPECT_EQ(in_copy, in_orig);
+  Operator range = Scan(0);
+  range.kind = OpKind::kRangeScan;
+  Operator filter = Select(5);
+  filter.kind = OpKind::kFilter;
+  // A repeat of an explored expression never lands, so it is not added.
+  EXPECT_EQ(memo.AddProposal(Select(5), {scan_group}, sel_group, 224, sel), kInvalidExpr);
+  ExprId first = memo.AddProposal(filter, {scan_group}, sel_group, 230, sel);
+  ExprId other = memo.AddProposal(range, {}, scan_group, 231, scan);
+  // A repeat of a proposal is added, linked to the first of its kind.
+  ExprId repeat = memo.AddProposal(filter, {scan_group}, sel_group, 240, sel);
+  ExprId again = memo.AddProposal(filter, {scan_group}, sel_group, 241, sel);
+
+  EXPECT_EQ(memo.first_proposal(), explored);
+  EXPECT_EQ(first, explored);
+  EXPECT_EQ(memo.num_exprs(), explored + 4);
+  EXPECT_EQ(memo.num_groups(), 2);
+  EXPECT_EQ(memo.expr(first).same_as, kInvalidExpr);
+  EXPECT_EQ(memo.expr(other).same_as, kInvalidExpr);
+  EXPECT_EQ(memo.expr(repeat).same_as, first);
+  EXPECT_EQ(memo.expr(again).same_as, first);
+  EXPECT_EQ(memo.expr(repeat).rule_id, 240);
+  EXPECT_EQ(memo.expr(repeat).source_expr, sel);
+  EXPECT_FALSE(memo.expr(repeat).is_logical);
+  // Each group lists its explored expressions, then its proposals in order.
+  EXPECT_EQ(memo.group(sel_group).exprs, (std::vector<ExprId>{sel, first, repeat, again}));
+  EXPECT_EQ(memo.group(scan_group).exprs, (std::vector<ExprId>{scan, other}));
+  EXPECT_EQ(memo.group(sel_group).representative, sel);
 }
 
 TEST(Memo, RepresentativeIsFirstLogicalExpr) {

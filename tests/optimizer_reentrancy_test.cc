@@ -1,9 +1,11 @@
 // Reentrancy of Optimizer::Compile: one shared const Optimizer must produce
 // the same plans when many compilations run concurrently (distinct jobs,
-// and distinct configs of the same job) as when they run one at a time.
-// All per-compilation state — memo, minted derived columns, estimate cache —
-// lives in a per-call context, so nothing here should race (run this test
-// under -DQSTEER_SANITIZE=thread to prove it).
+// distinct configs of the same job, and forks reading one stored
+// exploration family) as when they run one at a time. All per-compilation
+// state — the family being built, minted derived columns, estimate cache —
+// lives in a per-call context, and a stored family is only read, so nothing
+// here should race (run this test under -DQSTEER_SANITIZE=thread to prove
+// it).
 #include <cstdint>
 #include <thread>
 #include <vector>
@@ -118,6 +120,65 @@ TEST(OptimizerReentrancy, ConcurrentConfigsOfOneJobMatchSequential) {
   for (size_t i = 0; i < configs.size(); ++i) {
     SCOPED_TRACE(testing::Message() << "config " << i);
     ExpectSame(reference[i], concurrent[i]);
+  }
+}
+
+TEST(OptimizerReentrancy, ForksReadOneFamilyConcurrently) {
+  Workload workload(Spec());
+  const Optimizer optimizer(&workload.catalog());
+  Job job = workload.MakeJob(3, /*day=*/1);
+  const RuleConfig def = RuleConfig::Default();
+  CompileSession session;
+  ASSERT_TRUE(optimizer.Compile(job, def, CompileControl{}, &session).ok());
+
+  // Each worker flips a different pair of implementation rules, so the
+  // configurations share the default's exploration key.
+  const RuleRegistry& registry = RuleRegistry::Instance();
+  std::vector<RuleId> impl;
+  for (RuleId id = 0; id < kNumRules; ++id) {
+    if (!registry.exploration_rules().Test(id)) impl.push_back(id);
+  }
+  constexpr int kWorkers = 8;
+  constexpr int kConfigsPerWorker = 4;
+  std::vector<RuleConfig> configs;
+  for (int i = 0; i < kWorkers * kConfigsPerWorker; ++i) {
+    RuleConfig config = def;
+    for (RuleId id : {impl[static_cast<size_t>(i) % impl.size()],
+                      impl[static_cast<size_t>(3 * i + 1) % impl.size()]}) {
+      if (config.IsEnabled(id)) {
+        config.Disable(id);
+      } else {
+        config.Enable(id);
+      }
+    }
+    ASSERT_EQ(CompileSession::ExplorationKey(config), CompileSession::ExplorationKey(def));
+    configs.push_back(config);
+  }
+  std::vector<PlanFingerprint> reference;
+  for (const RuleConfig& config : configs) {
+    reference.push_back(Fingerprint(optimizer.Compile(job, config)));
+  }
+
+  ThreadPool pool(kWorkers);
+  std::vector<PlanFingerprint> concurrent(configs.size());
+  std::vector<int64_t> hits(kWorkers), misses(kWorkers);
+  ParallelFor(&pool, kWorkers, [&](int64_t w) {
+    CompileSession fork = session.Fork();
+    for (int k = 0; k < kConfigsPerWorker; ++k) {
+      const size_t i = static_cast<size_t>(w * kConfigsPerWorker + k);
+      concurrent[i] = Fingerprint(optimizer.Compile(job, configs[i], CompileControl{}, &fork));
+    }
+    hits[static_cast<size_t>(w)] = fork.hits();
+    misses[static_cast<size_t>(w)] = fork.misses();
+  });
+
+  for (size_t i = 0; i < configs.size(); ++i) {
+    SCOPED_TRACE(testing::Message() << "config " << i);
+    ExpectSame(reference[i], concurrent[i]);
+  }
+  for (int w = 0; w < kWorkers; ++w) {
+    EXPECT_EQ(hits[static_cast<size_t>(w)], kConfigsPerWorker) << "worker " << w;
+    EXPECT_EQ(misses[static_cast<size_t>(w)], 0) << "worker " << w;
   }
 }
 

@@ -4,6 +4,7 @@
 // covered separately by correctness_test.cc; these tests pin the matchers.
 #include <gtest/gtest.h>
 
+#include "optimizer/optimizer.h"
 #include "optimizer/rule_registry.h"
 #include "optimizer/rules.h"
 #include "workload/generator.h"
@@ -626,6 +627,63 @@ TEST(RuleDispatch, NoRuleProposesOffItsRootKind) {
   }
   EXPECT_GT(off_kind_calls, 0);
   EXPECT_GT(on_kind_proposals, 0);  // the seeded memos do make rules fire
+}
+
+// A compile's exploration family applies every implementation rule once
+// and lets each later compile land its enabled rules' proposals. That is
+// exact only because an implementation rule proposes at most one physical
+// node over existing groups (so no group or expression beyond it) and mints
+// no column. Every implementation rule is offered every logical expression
+// of its kind in explored memos of real job plans.
+TEST(RuleDispatch, ImplementationRulesProposeOneNodeOverExistingGroups) {
+  const RuleRegistry& registry = RuleRegistry::Instance();
+  const RuleConfig all = RuleConfig::AllEnabled();
+  int calls = 0;
+  int proposals = 0;
+  for (const WorkloadSpec& spec :
+       {WorkloadSpec::WorkloadA(0.004), WorkloadSpec::WorkloadB(0.004),
+        WorkloadSpec::WorkloadC(0.004)}) {
+    Workload workload(spec);
+    const Optimizer optimizer(&workload.catalog());
+    for (int t = 0; t < 12; ++t) {
+      const Job job = workload.MakeJob(t, /*day=*/1);
+      CompileSession session;
+      // qsteer-lint: allow(unchecked-status) only the stored family is read
+      (void)optimizer.Compile(job, all, CompileControl{}, &session);
+      std::shared_ptr<const CompileSession::Family> family =
+          session.Find(CompileSession::ExplorationKey(all));
+      ASSERT_NE(family, nullptr) << job.name;
+      const Memo& memo = family->memo;
+      ColumnUniverse universe = family->universe;
+      RuleContext ctx;
+      ctx.memo = &memo;
+      ctx.universe = &universe;
+      for (ExprId id = 0; id < memo.first_proposal(); ++id) {
+        const GroupExpr& expr = memo.expr(id);
+        if (!expr.is_logical) continue;
+        for (const Rule* rule : registry.implementation_rules(expr.op.kind)) {
+          std::vector<OpTree> out;
+          rule->Apply(ctx, expr, &out);
+          ++calls;
+          ASSERT_LE(out.size(), 1u) << rule->name() << " on " << OpKindName(expr.op.kind);
+          for (const OpTree& tree : out) {
+            ++proposals;
+            EXPECT_FALSE(tree.is_leaf) << rule->name();
+            EXPECT_TRUE(tree.op.IsPhysical()) << rule->name();
+            for (const OpTree& child : tree.children) {
+              EXPECT_TRUE(child.is_leaf) << rule->name() << " proposed a nested node";
+              EXPECT_GE(child.leaf_group, 0) << rule->name();
+              EXPECT_LT(child.leaf_group, memo.num_groups()) << rule->name();
+            }
+          }
+          EXPECT_EQ(universe.size(), family->universe.size())
+              << rule->name() << " minted a column";
+        }
+      }
+    }
+  }
+  EXPECT_GT(calls, 0);
+  EXPECT_GT(proposals, 0);
 }
 
 }  // namespace
