@@ -19,7 +19,7 @@ int main() {
   // the dataset is bit-identical to the serial run.
   std::unique_ptr<ThreadPool> pool;
   if (BenchThreads() != 0) pool = std::make_unique<ThreadPool>(BenchThreads());
-  LearnedSteering learner(&optimizer, &simulator, &workload.catalog(), {}, pool.get());
+  LearnedSteering learner(&optimizer, &simulator, &workload.catalog(), pool.get());
 
   // Three recurring templates with multiple daily instances stand in for the
   // paper's three job groups (201/75/157 jobs, K = 10/7/10).

@@ -13,6 +13,7 @@
 #include "common/random.h"
 #include "common/stats.h"
 #include "exec/simulator.h"
+#include "optimizer/cost_model.h"
 #include "optimizer/optimizer.h"
 #include "optimizer/stats.h"
 #include "plan/expr.h"
@@ -36,6 +37,9 @@ QErrorSummary SummarizeQErrors(std::vector<double> q_errors) {
 }
 
 namespace {
+
+/// Seed of the probe draws.
+constexpr uint64_t kProbeSeed = 0xCA11BULL;
 
 /// Stats of every node of a plan (logical or physical), derived bottom-up
 /// under one view. Shared fragments are derived once.
@@ -212,7 +216,7 @@ CalibrationReport RunCalibration(const Catalog& catalog, const StatsModel& model
     const StreamSet& set = catalog.stream_set(set_id);
     if (set.stream_ids.empty() || set.columns.empty()) continue;
     for (int p = 0; p < options.probes_per_set; ++p) {
-      Probe probe = MakeProbe(catalog, set_id, p, options.day, options.seed);
+      Probe probe = MakeProbe(catalog, set_id, p, options.day, kProbeSeed);
 
       EstimatedStatsView est(&catalog, probe.job.columns.get(), probe.job.day, &model);
       TrueStatsView truth(&catalog, &probe.job);

@@ -20,13 +20,11 @@
 
 #include "catalog/catalog.h"
 #include "catalog/stats_model.h"
-#include "optimizer/cost_model.h"
 #include "plan/job.h"
 
 namespace qsteer {
 
 struct CalibrationOptions {
-  uint64_t seed = 0xCA11BULL;
   /// Serve day: probes run on this day; stale models lag behind it.
   int day = 3;
   int probes_per_set = 6;
@@ -57,7 +55,8 @@ struct ProbeRecord {
 };
 
 /// Least-squares fit of true runtime against the optimizer's estimated cost
-/// components. Scales plug into CostParams::Calibrated.
+/// components. The fit is reported; the optimizer keeps costing with
+/// CostParams::OptimizerBeliefs.
 struct CostFit {
   double cpu_scale = 1.0;
   double io_scale = 1.0;
@@ -66,8 +65,6 @@ struct CostFit {
   /// est_cost) and after (the fitted combination).
   double mean_rel_error_before = 0.0;
   double mean_rel_error_after = 0.0;
-
-  CostParams Apply() const { return CostParams::Calibrated(cpu_scale, io_scale, startup_scale); }
 };
 
 struct CalibrationReport {

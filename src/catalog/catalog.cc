@@ -7,8 +7,6 @@
 
 namespace qsteer {
 
-uint64_t Stream::InputHash() const { return HashString(name); }
-
 double StreamSet::CorrelationBetween(int col_a, int col_b) const {
   for (const CorrelationSpec& c : correlations) {
     if ((c.column_a == col_a && c.column_b == col_b) ||

@@ -73,7 +73,6 @@ struct Stream {
   /// base_rows * (1 + daily_growth)^d with deterministic jitter.
   int64_t base_rows = 0;
   int partition_count = 8;
-  uint64_t InputHash() const;
 };
 
 /// A logical table: schema + true statistics shared by all its streams.

@@ -54,7 +54,6 @@ class BoundedQueue {
     if (items_.empty()) return false;
     *out = std::move(items_.front());
     items_.pop_front();
-    if (items_.empty()) empty_cv_.NotifyAll();
     return true;
   }
 
@@ -66,7 +65,6 @@ class BoundedQueue {
       closed_ = true;
     }
     cv_.NotifyAll();
-    empty_cv_.NotifyAll();
   }
 
   /// Closes and removes every queued item, returning them so the caller can
@@ -81,15 +79,7 @@ class BoundedQueue {
       items_.clear();
     }
     cv_.NotifyAll();
-    empty_cv_.NotifyAll();
     return drained;
-  }
-
-  /// Blocks until the queue is empty (drain barrier; pair with an in-flight
-  /// counter for full quiescence).
-  void WaitUntilEmpty() {
-    MutexLock lock(mu_);
-    while (!items_.empty()) empty_cv_.Wait(mu_);
   }
 
   int size() const {
@@ -116,7 +106,6 @@ class BoundedQueue {
   const int capacity_;
   mutable Mutex mu_;
   CondVar cv_;
-  CondVar empty_cv_;
   std::deque<T> items_ GUARDED_BY(mu_);
   bool closed_ GUARDED_BY(mu_) = false;
   int64_t high_water_ GUARDED_BY(mu_) = 0;

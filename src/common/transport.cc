@@ -16,11 +16,6 @@ Status InProcessTransport::Register(uint32_t node_id, TransportEndpoint* endpoin
   return Status::OK();
 }
 
-void InProcessTransport::Unregister(uint32_t node_id) {
-  MutexLock lock(mu_);
-  nodes_.erase(node_id);
-}
-
 void InProcessTransport::SetLinkUp(uint32_t node_id, bool up) {
   MutexLock lock(mu_);
   auto it = nodes_.find(node_id);
@@ -85,15 +80,6 @@ Status InProcessTransport::Send(uint32_t node_id, std::string_view payload) {
                                    std::to_string(node_id));
   }
   return endpoint->Deliver(received);
-}
-
-std::vector<uint32_t> InProcessTransport::LiveNodes() const {
-  MutexLock lock(mu_);
-  std::vector<uint32_t> live;
-  for (const auto& [id, node] : nodes_) {
-    if (node.up) live.push_back(id);
-  }
-  return live;
 }
 
 int64_t InProcessTransport::frames_sent() const {

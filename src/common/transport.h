@@ -26,7 +26,6 @@
 #include <map>
 #include <string>
 #include <string_view>
-#include <vector>
 
 #include "common/mutex.h"
 #include "common/status.h"
@@ -50,9 +49,8 @@ class InProcessTransport {
   InProcessTransport& operator=(const InProcessTransport&) = delete;
 
   /// Registers `endpoint` under `node_id` (link starts up). The endpoint
-  /// must outlive the transport or be Unregistered first.
+  /// must outlive the transport.
   Status Register(uint32_t node_id, TransportEndpoint* endpoint) EXCLUDES(mu_);
-  void Unregister(uint32_t node_id) EXCLUDES(mu_);
 
   /// Partition control: a downed link fails Send() with kUnavailable
   /// without consuming the payload. Unknown nodes are ignored.
@@ -69,10 +67,6 @@ class InProcessTransport {
   /// status.
   Status Send(uint32_t node_id, std::string_view payload) EXCLUDES(mu_);
 
-  /// Registered node ids with their link up, ascending (deterministic
-  /// election order).
-  std::vector<uint32_t> LiveNodes() const EXCLUDES(mu_);
-
   int64_t frames_sent() const EXCLUDES(mu_);
   int64_t bytes_sent() const EXCLUDES(mu_);
   int64_t send_failures() const EXCLUDES(mu_);
@@ -86,7 +80,6 @@ class InProcessTransport {
   };
 
   mutable Mutex mu_;
-  /// Ordered map: LiveNodes() iteration must be id-ordered, not hashed.
   std::map<uint32_t, Node> nodes_ GUARDED_BY(mu_);
   int64_t frames_sent_ GUARDED_BY(mu_) = 0;
   int64_t bytes_sent_ GUARDED_BY(mu_) = 0;

@@ -34,7 +34,7 @@ std::vector<RuleConfig> GenerateCandidateConfigs(const BitVector256& span,
   std::unordered_set<uint64_t> seen_full;
   seen_projected.insert(RuleConfig::Default().bits().And(span).Hash());
 
-  int attempts_budget = options.max_configs * options.max_attempts_factor;
+  int attempts_budget = options.max_configs * kMaxAttemptsFactor;
   while (static_cast<int>(out.size()) < options.max_configs && attempts_budget-- > 0) {
     // Start from everything enabled: rules outside the span cannot change
     // the plan if truly inapplicable, and keeping them on covers rules the

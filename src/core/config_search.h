@@ -15,12 +15,13 @@
 
 namespace qsteer {
 
+/// Attempt budget per candidate before giving up on uniqueness.
+inline constexpr int kMaxAttemptsFactor = 8;
+
 struct ConfigSearchOptions {
   /// M: number of unique candidate configurations to generate (§5 uses up
   /// to 1000 per job).
   int max_configs = 1000;
-  /// Attempt budget per candidate before giving up on uniqueness.
-  int max_attempts_factor = 8;
   uint64_t seed = 1;
   /// When false, ignore category structure and sample uniformly from the
   /// whole span (the §5.2 ablation baseline).

@@ -34,18 +34,22 @@ double Log1p(double v) { return std::log1p(std::max(0.0, v)); }
 /// estimates (past estimates are observable feedback in production).
 constexpr int kNumHistogramFeatures = 4;
 
+/// Hashed-bin count for large-alphabet categorical features (§7.2: 50).
+constexpr int kHashBins = 50;
+/// Signed hashed bins encoding each candidate's RuleDiff.
+constexpr int kDiffBins = 24;
+
 }  // namespace
 
-JobFeaturizer::JobFeaturizer(const Catalog* catalog, FeaturizerOptions options)
-    : catalog_(catalog), options_(options) {}
+JobFeaturizer::JobFeaturizer(const Catalog* catalog) : catalog_(catalog) {}
 
 int JobFeaturizer::JobFeatureWidth() const {
-  int width = 1 + 2 * options_.hash_bins + 2 * kNumGraphKinds;
+  int width = 1 + 2 * kHashBins + 2 * kNumGraphKinds;
   if (catalog_->stats_model().histogram_grade()) width += kNumHistogramFeatures;
   return width;
 }
 
-int JobFeaturizer::ConfigFeatureWidth() const { return 1 + options_.diff_bins; }
+int JobFeaturizer::ConfigFeatureWidth() const { return 1 + kDiffBins; }
 
 std::vector<double> JobFeaturizer::JobFeatures(const Job& job) const {
   std::vector<double> out;
@@ -61,15 +65,15 @@ std::vector<double> JobFeaturizer::JobFeatures(const Job& job) const {
 
   // (1b) Input hashes, hashed one-hot (a job reads several inputs; each
   // sets one bin).
-  std::vector<double> input_bins(static_cast<size_t>(options_.hash_bins), 0.0);
+  std::vector<double> input_bins(static_cast<size_t>(kHashBins), 0.0);
   for (uint64_t h : job.InputHashes()) {
-    input_bins[static_cast<size_t>(HashToBin(h, options_.hash_bins))] = 1.0;
+    input_bins[static_cast<size_t>(HashToBin(h, kHashBins))] = 1.0;
   }
   out.insert(out.end(), input_bins.begin(), input_bins.end());
 
   // (1c) Template hash, hashed one-hot.
-  std::vector<double> template_bins(static_cast<size_t>(options_.hash_bins), 0.0);
-  template_bins[static_cast<size_t>(HashToBin(job.TemplateHash(), options_.hash_bins))] = 1.0;
+  std::vector<double> template_bins(static_cast<size_t>(kHashBins), 0.0);
+  template_bins[static_cast<size_t>(HashToBin(job.TemplateHash(), kHashBins))] = 1.0;
   out.insert(out.end(), template_bins.begin(), template_bins.end());
 
   // (2) Query-graph features: per operator kind, count and mean
@@ -143,12 +147,12 @@ std::vector<double> JobFeaturizer::ConfigFeatures(const CompiledPlan& plan,
   std::vector<double> out;
   out.reserve(static_cast<size_t>(ConfigFeatureWidth()));
   out.push_back(Log1p(plan.est_cost));
-  std::vector<double> bins(static_cast<size_t>(options_.diff_bins), 0.0);
+  std::vector<double> bins(static_cast<size_t>(kDiffBins), 0.0);
   for (RuleId id : diff_vs_default.only_in_default) {
-    bins[static_cast<size_t>(HashToBin(static_cast<uint64_t>(id), options_.diff_bins))] -= 1.0;
+    bins[static_cast<size_t>(HashToBin(static_cast<uint64_t>(id), kDiffBins))] -= 1.0;
   }
   for (RuleId id : diff_vs_default.only_in_new) {
-    bins[static_cast<size_t>(HashToBin(static_cast<uint64_t>(id) ^ 0xd1f, options_.diff_bins))] +=
+    bins[static_cast<size_t>(HashToBin(static_cast<uint64_t>(id) ^ 0xd1f, kDiffBins))] +=
         1.0;
   }
   out.insert(out.end(), bins.begin(), bins.end());

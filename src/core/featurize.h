@@ -18,16 +18,9 @@
 
 namespace qsteer {
 
-struct FeaturizerOptions {
-  /// Hashed-bin count for large-alphabet categorical features (§7.2: 50).
-  int hash_bins = 50;
-  /// Signed hashed bins encoding each candidate's RuleDiff.
-  int diff_bins = 24;
-};
-
 class JobFeaturizer {
  public:
-  JobFeaturizer(const Catalog* catalog, FeaturizerOptions options = {});
+  explicit JobFeaturizer(const Catalog* catalog);
 
   /// Job-level + query-graph features (sections 1-2 of the layout).
   std::vector<double> JobFeatures(const Job& job) const;
@@ -46,7 +39,6 @@ class JobFeaturizer {
 
  private:
   const Catalog* catalog_;
-  FeaturizerOptions options_;
 };
 
 }  // namespace qsteer

@@ -9,6 +9,14 @@
 
 namespace qsteer {
 
+namespace {
+
+/// Softmax temperature over per-rule scores (higher = more exploration).
+constexpr double kTemperature = 0.5;
+constexpr uint64_t kSeed = 1;
+
+}  // namespace
+
 FeedbackSearch::FeedbackSearch(const Optimizer* optimizer,
                                const ExecutionSimulator* simulator,
                                FeedbackSearchOptions options)
@@ -18,7 +26,7 @@ FeedbackSearchResult FeedbackSearch::Run(const Job& job) const {
   FeedbackSearchResult result;
   Result<CompiledPlan> default_plan = optimizer_->Compile(job, RuleConfig::Default());
   if (!default_plan.ok()) return result;
-  uint64_t nonce = options_.seed;
+  uint64_t nonce = kSeed;
   result.default_runtime = simulator_->Execute(job, default_plan.value().root, ++nonce).runtime;
   result.best_runtime = result.default_runtime;
   result.best_config = RuleConfig::Default();
@@ -31,7 +39,7 @@ FeedbackSearchResult FeedbackSearch::Run(const Job& job) const {
   // faster executions. Off-by-default rules get an "enable" score instead
   // (their action in a candidate is being turned ON).
   std::vector<double> score(span_ids.size(), 0.0);
-  Pcg32 rng(options_.seed ^ job.TemplateHash(), 509);
+  Pcg32 rng(kSeed ^ job.TemplateHash(), 509);
   std::unordered_set<uint64_t> seen_configs = {RuleConfig::Default().Hash()};
   std::unordered_set<uint64_t> seen_plans = {
       PlanHash(default_plan.value().root, /*for_template=*/false)};
@@ -40,7 +48,7 @@ FeedbackSearchResult FeedbackSearch::Run(const Job& job) const {
     // Sampling weights from scores (softmax-ish).
     std::vector<double> weight(span_ids.size());
     for (size_t i = 0; i < span_ids.size(); ++i) {
-      weight[i] = std::exp(std::clamp(score[i] / options_.temperature, -6.0, 6.0));
+      weight[i] = std::exp(std::clamp(score[i] / kTemperature, -6.0, 6.0));
     }
     double total_weight = 0.0;
     for (double w : weight) total_weight += w;

@@ -18,9 +18,6 @@ namespace qsteer {
 struct FeedbackSearchOptions {
   int rounds = 4;
   int configs_per_round = 4;
-  /// Softmax temperature over per-rule scores (higher = more exploration).
-  double temperature = 0.5;
-  uint64_t seed = 1;
 };
 
 struct FeedbackSearchResult {

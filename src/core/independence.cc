@@ -91,7 +91,7 @@ std::vector<RuleConfig> GenerateGroupedConfigs(const IndependenceResult& indepen
   if (independence.groups.empty()) return out;
   Pcg32 rng(options.seed, /*stream=*/613);
   std::unordered_set<uint64_t> seen = {RuleConfig::Default().Hash()};
-  int attempts = options.max_configs * options.max_attempts_factor;
+  int attempts = options.max_configs * kMaxAttemptsFactor;
   while (static_cast<int>(out.size()) < options.max_configs && attempts-- > 0) {
     RuleConfig config = RuleConfig::AllEnabled();
     for (const std::vector<RuleId>& group : independence.groups) {

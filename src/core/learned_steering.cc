@@ -10,11 +10,8 @@ namespace qsteer {
 
 LearnedSteering::LearnedSteering(const Optimizer* optimizer,
                                  const ExecutionSimulator* simulator, const Catalog* catalog,
-                                 FeaturizerOptions featurizer_options, ThreadPool* pool)
-    : optimizer_(optimizer),
-      simulator_(simulator),
-      featurizer_(catalog, featurizer_options),
-      pool_(pool) {}
+                                 ThreadPool* pool)
+    : optimizer_(optimizer), simulator_(simulator), featurizer_(catalog), pool_(pool) {}
 
 GroupDataset LearnedSteering::CollectDataset(const std::vector<Job>& jobs,
                                              const std::vector<RuleConfig>& configs,

@@ -72,8 +72,7 @@ class LearnedSteering {
   /// `pool` (optional, not owned, may outlive-requirement: must stay alive
   /// for the learner's lifetime) parallelizes CollectDataset over jobs.
   LearnedSteering(const Optimizer* optimizer, const ExecutionSimulator* simulator,
-                  const Catalog* catalog, FeaturizerOptions featurizer_options = {},
-                  ThreadPool* pool = nullptr);
+                  const Catalog* catalog, ThreadPool* pool = nullptr);
 
   /// Executes every configuration for every job, producing the training
   /// dataset (the paper's "execute each of the K configurations for every

@@ -41,7 +41,7 @@ SteeringPipeline::SteeringPipeline(const Optimizer* optimizer,
   }
   if (options_.rank_candidates) {
     MutexLock lock(ranker_mu_);
-    ranker_ = std::make_unique<CandidateRanker>(options_.ranker);
+    ranker_ = std::make_unique<CandidateRanker>();
   }
 }
 
@@ -199,9 +199,9 @@ JobAnalysis SteeringPipeline::Recompile(const Job& job) const {
     return analysis;
   }
   analysis.default_plan = std::move(default_plan.value());
-  analysis.span = ComputeJobSpan(*optimizer_, job, SpanOptions{}, compile_full_bits);
+  analysis.span = ComputeJobSpan(*optimizer_, job, compile_full_bits);
 
-  ConfigSearchOptions search = options_.search;
+  ConfigSearchOptions search;
   search.max_configs = options_.max_candidate_configs;
   search.seed = options_.seed ^ job.TemplateHash();
   CandidateGenerationStats gen_stats;
@@ -549,12 +549,21 @@ std::vector<int> SteeringPipeline::SelectJobsInWindow(
   return out;
 }
 
+namespace {
+
+/// Low-cost/high-runtime heuristic thresholds (Fig. 5's top-left corner):
+/// estimated cost below this quantile and runtime above this quantile.
+constexpr double kLowCostQuantile = 0.4;
+constexpr double kHighRuntimeQuantile = 0.7;
+
+}  // namespace
+
 std::vector<int> SteeringPipeline::SelectLowCostHighRuntime(
     const std::vector<double>& est_costs, const std::vector<double>& runtimes) const {
   std::vector<int> out;
   if (est_costs.empty() || est_costs.size() != runtimes.size()) return out;
-  double cost_threshold = Percentile(est_costs, options_.low_cost_quantile * 100.0);
-  double runtime_threshold = Percentile(runtimes, options_.high_runtime_quantile * 100.0);
+  double cost_threshold = Percentile(est_costs, kLowCostQuantile * 100.0);
+  double runtime_threshold = Percentile(runtimes, kHighRuntimeQuantile * 100.0);
   for (size_t i = 0; i < est_costs.size(); ++i) {
     if (est_costs[i] <= cost_threshold && runtimes[i] >= runtime_threshold) {
       out.push_back(static_cast<int>(i));

@@ -33,10 +33,6 @@ struct PipelineOptions {
   /// longer ones too expensive to re-execute (§5.3: 5 minutes to 1 hour).
   double min_runtime_s = 300.0;
   double max_runtime_s = 3600.0;
-  /// Low-cost/high-runtime heuristic thresholds (Fig. 5's top-left corner):
-  /// estimated cost below this quantile and runtime above this quantile.
-  double low_cost_quantile = 0.4;
-  double high_runtime_quantile = 0.7;
   /// Base seed of the analysis. Per-candidate simulator noise is derived
   /// from hash(seed, candidate config), never from shared sequential RNG
   /// state, so results are independent of candidate evaluation order.
@@ -69,7 +65,6 @@ struct PipelineOptions {
   /// optimizer never returns naturally (e.g. kUnavailable from a remote
   /// compile tier). Null in production.
   std::function<Status(const Job& job, int attempt)> compile_fault_for_testing;
-  ConfigSearchOptions search;
   /// Budgeted discovery: cap on candidate compiles per job (<= 0 =
   /// unlimited). The full candidate stream is still generated and deduped;
   /// with ranking off the first `compile_budget` candidates of the stream
@@ -84,8 +79,6 @@ struct PipelineOptions {
   /// rank_candidates = false. When off (the default), the ranker does not
   /// exist and the pipeline behaves exactly as before this knob.
   bool rank_candidates = false;
-  /// Ranker hyperparameters (used only when rank_candidates is set).
-  RankerOptions ranker;
 };
 
 /// One recompiled (and possibly executed) alternative configuration.
@@ -255,11 +248,11 @@ class SteeringPipeline {
   BudgetStats budget_stats() const;
 
   /// Cumulative exploration counters of the per-job compile sessions: the
-  /// compiles that explored, and those that cloned a session's explored
-  /// memo instead. Compiles served by the compile cache, and CompileCached,
-  /// which uses no session, count in neither. The counts depend on the
-  /// pool's width (a fanned-out job cuts its candidates into more runs),
-  /// never on timing. Thread-safe snapshot.
+  /// compiles that explored, and those that read the session's stored
+  /// exploration family instead. Compiles served by the compile cache, and
+  /// CompileCached, which uses no session, count in neither. The counts
+  /// depend on the pool's width (a fanned-out job cuts its candidates into
+  /// more runs), never on timing. Thread-safe snapshot.
   struct ExplorationStats {
     int64_t run = 0;
     int64_t reused = 0;

@@ -8,18 +8,6 @@
 
 namespace qsteer {
 
-const char* BreakerStateName(BreakerState state) {
-  switch (state) {
-    case BreakerState::kClosed:
-      return "closed";
-    case BreakerState::kOpen:
-      return "open";
-    case BreakerState::kHalfOpen:
-      return "half-open";
-  }
-  return "?";
-}
-
 SteeringRecommender::SteeringRecommender(RecommenderOptions options) : options_(options) {}
 
 std::optional<SteeringRecommender::CandidateObservation> SteeringRecommender::ExtractCandidate(

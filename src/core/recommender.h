@@ -60,7 +60,6 @@ struct RecommenderOptions {
 inline constexpr char kRecommenderStoreHeader[] = "# qsteer-recommender-store v2";
 
 enum class BreakerState { kClosed = 0, kOpen = 1, kHalfOpen = 2 };
-const char* BreakerStateName(BreakerState state);
 
 class SteeringRecommender {
  public:

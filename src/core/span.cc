@@ -2,12 +2,19 @@
 
 namespace qsteer {
 
+namespace {
+
+/// Safety cap on disable-recompile iterations.
+constexpr int kMaxIterations = 24;
+
+}  // namespace
+
 SpanResult ComputeJobSpan(const Optimizer& optimizer, const Job& job,
-                          const SpanOptions& options, const SpanCompileFn& compile) {
+                          const SpanCompileFn& compile) {
   SpanResult result;
   RuleConfig config = RuleConfig::AllEnabled();
 
-  for (int iter = 0; iter < options.max_iterations; ++iter) {
+  for (int iter = 0; iter < kMaxIterations; ++iter) {
     Result<CompiledPlan> plan = compile ? compile(config) : optimizer.Compile(job, config);
     if (!plan.ok()) {
       result.ended_on_compile_failure = true;

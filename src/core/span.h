@@ -28,11 +28,6 @@ struct SpanResult {
   int implementation = 0;
 };
 
-struct SpanOptions {
-  /// Safety cap on disable-recompile iterations.
-  int max_iterations = 24;
-};
-
 /// Approximates the job span per Algorithm 1. Starts from the configuration
 /// enabling all 219 non-required rules ("config <- all rule ids w/o required
 /// rules"), repeatedly removes the signature's on-rules, and recompiles
@@ -44,7 +39,6 @@ struct SpanOptions {
 /// by the full configuration bits, always sound), its compile session's
 /// explored memo, and the pipeline's timeout, retries and failure counters.
 SpanResult ComputeJobSpan(const Optimizer& optimizer, const Job& job,
-                          const SpanOptions& options = {},
                           const SpanCompileFn& compile = nullptr);
 
 }  // namespace qsteer

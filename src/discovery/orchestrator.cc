@@ -21,6 +21,9 @@ namespace qsteer {
 
 namespace {
 
+/// Consistent-hash ring points per shard.
+constexpr int kRingVnodes = 64;
+
 std::vector<Job> SelectJobs(const Workload& workload, int day, int max_jobs) {
   std::vector<Job> jobs = workload.JobsForDay(day);
   if (max_jobs > 0 && static_cast<int>(jobs.size()) > max_jobs) {
@@ -57,10 +60,10 @@ struct JobOutput {
   std::vector<RankerExample> ranker_examples;
 };
 
-JobOutput ReduceAnalysis(const JobAnalysis& analysis, const RecommenderOptions& options) {
+JobOutput ReduceAnalysis(const JobAnalysis& analysis) {
   JobOutput out;
   std::optional<SteeringRecommender::CandidateObservation> candidate =
-      SteeringRecommender::ExtractCandidate(analysis, options);
+      SteeringRecommender::ExtractCandidate(analysis, RecommenderOptions{});
   if (candidate.has_value()) {
     out.has_obs = true;
     out.obs.signature_hex = candidate->signature.ToHexString();
@@ -180,6 +183,15 @@ ShardOrchestrator::~ShardOrchestrator() = default;
 
 namespace {
 
+// Lease simulation (deterministic logical ticks).
+constexpr int64_t kBaseCostTicks = 40;
+constexpr int64_t kPerJobCostTicks = 7;
+/// Dispatches per shard before the last one runs to completion without
+/// a lease (bounds speculative re-execution).
+constexpr int kMaxLeaseAttempts = 3;
+/// Seed of the straggler draws.
+constexpr uint64_t kLeaseSeed = 1;
+
 /// Deterministic lease-and-speculation schedule over the shards that need
 /// computing, in logical ticks. Returns shard positions in completion
 /// order; content never depends on this — only commit order and counters.
@@ -218,9 +230,9 @@ std::vector<int> SimulateLeases(const std::vector<int64_t>& shard_jobs,
       if (worker_free[i] < worker_free[w]) w = i;
     }
     int64_t start = std::max(worker_free[w], d.release);
-    int64_t cost = options.base_cost_ticks +
-                   options.per_job_cost_ticks * shard_jobs[static_cast<size_t>(d.shard_pos)];
-    uint64_t draw = Mix64(HashCombine(HashCombine(options.seed, 0x5ea5e5ull),
+    int64_t cost =
+        kBaseCostTicks + kPerJobCostTicks * shard_jobs[static_cast<size_t>(d.shard_pos)];
+    uint64_t draw = Mix64(HashCombine(HashCombine(kLeaseSeed, 0x5ea5e5ull),
                                       HashCombine(static_cast<uint64_t>(d.shard_pos),
                                                   static_cast<uint64_t>(d.attempt))));
     if (static_cast<int64_t>(draw % 10000) < frac_per_myriad) {
@@ -229,7 +241,7 @@ std::vector<int> SimulateLeases(const std::vector<int64_t>& shard_jobs,
     }
     ++counters->leases_granted;
     int64_t end = start + cost;
-    if (cost > options.lease_ticks && d.attempt < std::max(1, options.max_lease_attempts)) {
+    if (cost > options.lease_ticks && d.attempt < kMaxLeaseAttempts) {
       // Deadline miss: the lease expires mid-run and a speculative copy is
       // re-dispatched the moment it does. The original is not preempted —
       // whichever copy finishes first completes the shard.
@@ -331,7 +343,7 @@ Result<DiscoveryResult> ShardOrchestrator::Run() {
                                  return plan.value().signature.ToHexString();
                                });
 
-  ConsistentHashRing ring(options_.ring_vnodes);
+  ConsistentHashRing ring(kRingVnodes);
   for (int s = 0; s < options_.num_shards; ++s) ring.AddReplica(static_cast<uint32_t>(s));
 
   std::map<std::string, int> group_shard;  // signature hex -> shard
@@ -440,7 +452,7 @@ Result<DiscoveryResult> ShardOrchestrator::Run() {
       impl_->pool.get(), static_cast<int64_t>(flat.size()), [&](int64_t i) -> JobOutput {
         const Job& job = jobs[static_cast<size_t>(flat[static_cast<size_t>(i)].second)];
         JobAnalysis analysis = impl_->pipeline->AnalyzeJob(job);
-        JobOutput output = ReduceAnalysis(analysis, options_.recommender);
+        JobOutput output = ReduceAnalysis(analysis);
         output.ranker_examples = std::move(analysis.ranker_examples);
         return output;
       });
@@ -534,7 +546,7 @@ Result<DiscoveryResult> ShardOrchestrator::Run() {
   if (crash_at("pre-merge", -1, nullptr)) return result;
 
   // ---- Phase 6: pure deterministic union of the shard artifacts ----
-  SteeringRecommender merged(options_.recommender);
+  SteeringRecommender merged;
   std::map<std::string, ShardDiffRow> merged_rows;
   for (int s = 0; s < options_.num_shards; ++s) {
     if (!artifacts[static_cast<size_t>(s)].has_value()) continue;
@@ -605,16 +617,16 @@ Result<UnshardedDiscovery> DiscoverUnsharded(const Workload* workload, int day,
   UnshardedDiscovery out;
   out.jobs_analyzed = static_cast<int64_t>(analyses.size());
   out.ranker_bytes = pipeline.SerializeRanker();
-  SteeringRecommender store(options.recommender);
+  SteeringRecommender store;
   std::map<std::string, ShardDiffRow> rows;
   for (const JobAnalysis& analysis : analyses) {
     // Learn the in-memory observation directly — the sharded pass goes
     // through the artifact text round trip, so byte-equality of the two
     // stores also proves the round trip exact.
     std::optional<SteeringRecommender::CandidateObservation> candidate =
-        SteeringRecommender::ExtractCandidate(analysis, options.recommender);
+        SteeringRecommender::ExtractCandidate(analysis, RecommenderOptions{});
     if (candidate.has_value()) store.LearnCandidate(*candidate);
-    JobOutput output = ReduceAnalysis(analysis, options.recommender);
+    JobOutput output = ReduceAnalysis(analysis);
     if (output.has_row) KeepBetterRow(&rows, output.row);
   }
   out.store = store.Serialize();

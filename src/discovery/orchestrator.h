@@ -89,20 +89,13 @@ struct DiscoveryOptions {
   bool resume = false;
   /// fsync artifact/manifest writes (tests run with false for speed).
   bool sync = false;
-  int ring_vnodes = 64;
-  uint64_t seed = 1;
 
   // Lease simulation (deterministic logical ticks).
   int64_t lease_ticks = 600;
-  int64_t base_cost_ticks = 40;
-  int64_t per_job_cost_ticks = 7;
   /// Probability a dispatch is a straggler (cost multiplied by
-  /// `straggler_factor`), drawn from hash(seed, shard, attempt).
+  /// `straggler_factor`), drawn from a hash of (shard, attempt).
   double straggler_fraction = 0.05;
   double straggler_factor = 40.0;
-  /// Dispatches per shard before the last one runs to completion without
-  /// a lease (bounds speculative re-execution).
-  int max_lease_attempts = 3;
 
   /// Pre-warm the pipeline's compile cache from this SaveCompileCache file
   /// before computing (empty = cold start). Rejection — corrupt, torn,
@@ -129,7 +122,6 @@ struct DiscoveryOptions {
   /// Per-job analysis options. num_threads is forced to 0: the orchestrator
   /// parallelizes across jobs, not within one.
   PipelineOptions pipeline;
-  RecommenderOptions recommender;
 
   /// Testing-only crash hook; null = never crash.
   std::function<DiscoveryCrashDecision(const DiscoveryCrashPoint&)> crash_hook_for_testing;

@@ -14,6 +14,9 @@ namespace qsteer {
 
 namespace {
 
+/// Cap on rows materialized per stream (keeps tests fast).
+constexpr int64_t kMaxRowsPerStream = 4000;
+
 /// RowAccessor over one row of a Relation.
 class RelationRow : public RowAccessor {
  public:
@@ -122,8 +125,7 @@ std::string Relation::Fingerprint(const std::vector<ColumnId>& restrict_to) cons
          std::to_string(h);
 }
 
-ReferenceExecutor::ReferenceExecutor(const Catalog* catalog, ReferenceExecutorOptions options)
-    : catalog_(catalog), options_(options) {}
+ReferenceExecutor::ReferenceExecutor(const Catalog* catalog) : catalog_(catalog) {}
 
 Relation ReferenceExecutor::Execute(const Job& job, const PlanNodePtr& root) const {
   std::unordered_map<const PlanNode*, Relation> cache;
@@ -137,8 +139,7 @@ Relation ReferenceExecutor::Execute(const Job& job, const PlanNodePtr& root) con
 
     auto scan = [&](int stream_id, const std::vector<ColumnId>& scan_columns) {
       Relation rel;
-      RowBatch batch =
-          MaterializeStream(*catalog_, stream_id, job.day, options_.max_rows_per_stream);
+      RowBatch batch = MaterializeStream(*catalog_, stream_id, job.day, kMaxRowsPerStream);
       rel.columns = scan_columns;
       std::sort(rel.columns.begin(), rel.columns.end());
       rel.rows.reserve(static_cast<size_t>(batch.num_rows()));

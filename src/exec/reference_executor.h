@@ -30,14 +30,9 @@ struct Relation {
   std::string Fingerprint(const std::vector<ColumnId>& restrict_to = {}) const;
 };
 
-struct ReferenceExecutorOptions {
-  /// Cap on rows materialized per stream (keeps tests fast).
-  int64_t max_rows_per_stream = 4000;
-};
-
 class ReferenceExecutor {
  public:
-  ReferenceExecutor(const Catalog* catalog, ReferenceExecutorOptions options = {});
+  explicit ReferenceExecutor(const Catalog* catalog);
 
   /// Executes a logical or physical plan for the job; exchanges/sorts are
   /// result-neutral. Deterministic, including Top-N tie-breaking (sort keys
@@ -46,7 +41,6 @@ class ReferenceExecutor {
 
  private:
   const Catalog* catalog_;
-  ReferenceExecutorOptions options_;
 };
 
 }  // namespace qsteer

@@ -7,6 +7,7 @@
 
 #include "common/hash.h"
 #include "common/random.h"
+#include "optimizer/cost_model.h"
 #include "optimizer/stats.h"
 
 namespace qsteer {
@@ -49,6 +50,14 @@ ExecutionSimulator::ExecutionSimulator(const Catalog* catalog, SimulatorOptions 
     : catalog_(catalog), options_(options) {}
 
 namespace {
+
+/// The parameters the simulated cluster exhibits.
+constexpr CostParams kClusterTruth = CostParams::ClusterTruth();
+
+/// Lognormal sigma of cluster noise for long jobs; short jobs get more
+/// (paper §3.1.1: ~10% variance on short jobs).
+constexpr double kNoiseSigmaLong = 0.02;
+constexpr double kNoiseSigmaShort = 0.08;
 
 struct NodeResult {
   LogicalStats stats;
@@ -104,7 +113,7 @@ ExecMetrics ExecutionSimulator::Execute(const Job& job, const PlanNodePtr& physi
     NodeResult result;
     result.stats = DeriveStats(node->op, child_stats, truth);
     OpCost cost = ComputeOpCost(node->op, result.stats, child_stats,
-                                std::max(1, node->op.dop), options_.cost_params, truth);
+                                std::max(1, node->op.dop), kClusterTruth, truth);
 
     // Token budget: a stage wider than the job's token allotment runs in
     // waves.
@@ -192,9 +201,7 @@ ExecMetrics ExecutionSimulator::Execute(const Job& job, const PlanNodePtr& physi
   if (!options_.deterministic) {
     // Cluster noise: short jobs are noisier (resource allocation jitter,
     // scheduling) than long ones, as observed in the paper (§3.1.1).
-    double sigma = metrics.runtime < options_.short_job_threshold
-                       ? options_.noise_sigma_short
-                       : options_.noise_sigma_long;
+    double sigma = metrics.runtime < kShortJobThreshold ? kNoiseSigmaShort : kNoiseSigmaLong;
     uint64_t seed = HashCombine(HashString(job.name), PlanHash(physical_root, false));
     seed = HashCombine(seed, run_nonce + 0x777);
     Pcg32 rng(seed, /*stream=*/59);

@@ -13,7 +13,6 @@
 #include <vector>
 
 #include "common/retry.h"
-#include "optimizer/cost_model.h"
 #include "optimizer/optimizer.h"
 #include "plan/job.h"
 
@@ -95,17 +94,13 @@ enum class Metric { kRuntime, kCpuTime, kIoTime };
 double MetricOf(const ExecMetrics& m, Metric metric);
 const char* MetricName(Metric metric);
 
+/// Runtime (seconds) below which a job counts as "short" for noise.
+inline constexpr double kShortJobThreshold = 300.0;
+
 struct SimulatorOptions {
   /// Concurrent container budget per job (the paper's A/B infrastructure
   /// fixes 50 tokens per job).
   int tokens = 50;
-  CostParams cost_params = CostParams::ClusterTruth();
-  /// Lognormal sigma of cluster noise for long jobs; short jobs get more
-  /// (paper §3.1.1: ~10% variance on short jobs).
-  double noise_sigma_long = 0.02;
-  double noise_sigma_short = 0.08;
-  /// Runtime (seconds) below which a job counts as "short" for noise.
-  double short_job_threshold = 300.0;
   /// Disable noise entirely (unit tests).
   bool deterministic = false;
   /// Fault injection (strictly opt-in; default injects nothing). Orthogonal

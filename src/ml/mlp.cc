@@ -13,6 +13,8 @@ namespace {
 constexpr double kAdamBeta1 = 0.9;
 constexpr double kAdamBeta2 = 0.999;
 constexpr double kAdamEps = 1e-8;
+/// Adam step size of Mlp::Train.
+constexpr double kLearningRate = 1e-3;
 
 double Sigmoid(double x) { return 1.0 / (1.0 + std::exp(-x)); }
 
@@ -200,7 +202,7 @@ Mlp Mlp::Train(const std::vector<std::vector<double>>& train_x,
   for (int epoch = 0; epoch < options.epochs; ++epoch) {
     rng.Shuffle(&order);
     for (size_t idx : order) {
-      model.TrainStep(train_x[idx], train_y[idx], options.learning_rate);
+      model.TrainStep(train_x[idx], train_y[idx], kLearningRate);
     }
     if (options.patience > 0 && !val_x.empty()) {
       double val = model.Evaluate(val_x, val_y);
@@ -333,13 +335,6 @@ std::vector<double> MinMaxScaler::Transform(const std::vector<double>& row) cons
     out[i] = range > 1e-12 ? std::clamp((out[i] - min_[i]) / range, 0.0, 1.0) : 0.0;
   }
   return out;
-}
-
-Status MinMaxScaler::FitTransformInPlace(std::vector<std::vector<double>>* rows) {
-  Status st = Fit(*rows);
-  if (!st.ok()) return st;
-  for (auto& row : *rows) row = Transform(row);
-  return Status::OK();
 }
 
 std::string MinMaxScaler::Serialize() const {

@@ -37,7 +37,6 @@ class Matrix {
 
 struct MlpOptions {
   int hidden = 64;
-  double learning_rate = 1e-3;
   int epochs = 200;
   uint64_t seed = 1;
   /// Early-stop patience on validation loss (0 disables).
@@ -107,7 +106,6 @@ class MinMaxScaler {
   Status Update(const std::vector<double>& row);
 
   std::vector<double> Transform(const std::vector<double>& row) const;
-  Status FitTransformInPlace(std::vector<std::vector<double>>* rows);
 
   bool fitted() const { return !min_.empty(); }
   int width() const { return static_cast<int>(min_.size()); }

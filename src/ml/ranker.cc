@@ -15,13 +15,25 @@ namespace {
 /// cleanly (same contract as the compile-cache file header).
 constexpr char kRankerFileHeader[] = "qsteer-ranker v1";
 
+/// Hidden width of the scoring MLP; the feature space is tiny, so a small
+/// net converges in a handful of batches.
+constexpr int kHidden = 16;
+constexpr double kLearningRate = 5e-3;
+/// Sequential passes over each training batch.
+constexpr int kEpochsPerBatch = 2;
+constexpr uint64_t kSeed = 1;
+/// Blend between the per-rule historical prior and the MLP score once the
+/// model has seen enough examples (1.0 = prior only, 0.0 = model only).
+constexpr double kPriorWeight = 0.6;
+/// Until this many examples are trained, Score returns the prior alone: a
+/// freshly initialized MLP is noise and would scatter the budget.
+constexpr int64_t kMinExamplesForModel = 48;
+
 double SafeFrac(double num, double den) { return den > 0.0 ? num / den : 0.0; }
 
 }  // namespace
 
-CandidateRanker::CandidateRanker(RankerOptions options)
-    : options_(options),
-      model_(kNumFeatures, std::max(1, options.hidden), /*outputs=*/1, options.seed) {}
+CandidateRanker::CandidateRanker() : model_(kNumFeatures, kHidden, /*outputs=*/1, kSeed) {}
 
 double CandidateRanker::HistoricalPrior(const std::vector<int>& toggled_rules) const {
   double sum = 0.0;
@@ -96,11 +108,10 @@ double CandidateRanker::Score(const std::vector<double>& features) const {
   // Feature 10 *is* the historical prior (mean past improvement of the
   // toggled rules), so scoring needs no side channel beyond the row.
   double prior = features[10];
-  if (examples_trained_ < options_.min_examples_for_model) return prior;
+  if (examples_trained_ < kMinExamplesForModel) return prior;
   std::vector<double> scaled = scaler_.fitted() ? scaler_.Transform(features) : features;
   double model = model_.Forward(scaled)[0];
-  double w = std::clamp(options_.prior_weight, 0.0, 1.0);
-  return w * prior + (1.0 - w) * model;
+  return kPriorWeight * prior + (1.0 - kPriorWeight) * model;
 }
 
 void CandidateRanker::Train(const std::vector<RankerExample>& examples) {
@@ -124,10 +135,10 @@ void CandidateRanker::Train(const std::vector<RankerExample>& examples) {
   }
   // Phase 2: strictly sequential SGD passes — no shuffling, so the model's
   // final bytes depend only on the example stream, not on thread count.
-  for (int epoch = 0; epoch < std::max(1, options_.epochs_per_batch); ++epoch) {
+  for (int epoch = 0; epoch < kEpochsPerBatch; ++epoch) {
     for (const RankerExample* example : usable) {
       model_.TrainStep(scaler_.Transform(example->features),
-                       {std::clamp(example->label, 0.0, 1.0)}, options_.learning_rate);
+                       {std::clamp(example->label, 0.0, 1.0)}, kLearningRate);
     }
   }
 }
@@ -135,10 +146,9 @@ void CandidateRanker::Train(const std::vector<RankerExample>& examples) {
 std::string CandidateRanker::Serialize() const {
   std::string out;
   char buf[160];
-  std::snprintf(buf, sizeof(buf), "options %d %llu %.17g %.17g %d %lld\n", options_.hidden,
-                static_cast<unsigned long long>(options_.seed), options_.prior_weight,
-                options_.learning_rate, options_.epochs_per_batch,
-                static_cast<long long>(options_.min_examples_for_model));
+  std::snprintf(buf, sizeof(buf), "options %d %llu %.17g %.17g %d %lld\n", kHidden,
+                static_cast<unsigned long long>(kSeed), kPriorWeight, kLearningRate,
+                kEpochsPerBatch, static_cast<long long>(kMinExamplesForModel));
   out.append(buf);
   std::snprintf(buf, sizeof(buf), "examples_trained %lld\n",
                 static_cast<long long>(examples_trained_));
@@ -176,7 +186,7 @@ Status CandidateRanker::ParseInto(const std::string& content, CandidateRanker* o
         tag != "options") {
       return Status::InvalidArgument("ranker: malformed options line");
     }
-    if (hidden != out->options_.hidden) {
+    if (hidden != kHidden) {
       return Status::FailedPrecondition("ranker: hidden width disagrees with this build");
     }
   }
@@ -253,7 +263,7 @@ Status CandidateRanker::WarmFromFile(const std::string& path) {
   if (!read.ok()) return read.status();
   // Parse into a scratch ranker so any damage rejects the whole file and
   // leaves this ranker exactly as it was (run cold, never wrong).
-  CandidateRanker scratch(options_);
+  CandidateRanker scratch;
   Status st = ParseInto(read.value(), &scratch);
   if (!st.ok()) return st;
   *this = std::move(scratch);

@@ -27,22 +27,6 @@
 
 namespace qsteer {
 
-struct RankerOptions {
-  /// Hidden width of the scoring MLP; the feature space is tiny, so a small
-  /// net converges in a handful of batches.
-  int hidden = 16;
-  double learning_rate = 5e-3;
-  /// Sequential passes over each training batch.
-  int epochs_per_batch = 2;
-  uint64_t seed = 1;
-  /// Blend between the per-rule historical prior and the MLP score once the
-  /// model has seen enough examples (1.0 = prior only, 0.0 = model only).
-  double prior_weight = 0.6;
-  /// Until this many examples are trained, Score returns the prior alone: a
-  /// freshly initialized MLP is noise and would scatter the budget.
-  int64_t min_examples_for_model = 48;
-};
-
 /// Per-job inputs shared by every candidate's feature row.
 struct RankerJobContext {
   BitVector256 span;
@@ -76,9 +60,7 @@ class CandidateRanker {
  public:
   static constexpr int kNumFeatures = 15;
 
-  explicit CandidateRanker(RankerOptions options = {});
-
-  const RankerOptions& options() const { return options_; }
+  CandidateRanker();
 
   /// Builds a candidate's example row: features + toggled rules + config
   /// hash, under the ranker's current historical state. `label` is left 0.
@@ -89,15 +71,16 @@ class CandidateRanker {
   double Score(const std::vector<double>& features) const;
 
   /// Trains on the batch strictly in order: first the per-rule historical
-  /// stats and scaler bounds, then `epochs_per_batch` sequential MLP passes.
+  /// stats and scaler bounds, then a fixed number of sequential MLP passes.
   /// Two rankers fed equal example streams end up byte-identical.
   void Train(const std::vector<RankerExample>& examples);
 
   int64_t examples_trained() const { return examples_trained_; }
 
-  /// Text serialization of the full state (options echo, per-rule stats,
-  /// scaler, MLP incl. Adam moments), without the file header. Equal state
-  /// => equal bytes; reloading it resumes the exact training trajectory.
+  /// Text serialization of the full state (an options line echoing the
+  /// ranker's constants, per-rule stats, scaler, MLP incl. Adam moments),
+  /// without the file header. Equal state => equal bytes; reloading it
+  /// resumes the exact training trajectory.
   std::string Serialize() const;
 
   /// Writes Serialize() as an artifact headed `qsteer-ranker v1`
@@ -123,7 +106,6 @@ class CandidateRanker {
 
   static Status ParseInto(const std::string& content, CandidateRanker* out);
 
-  RankerOptions options_;
   Mlp model_;
   MinMaxScaler scaler_;
   std::array<RuleStats, kNumRules> rule_stats_{};

@@ -5,44 +5,6 @@
 
 namespace qsteer {
 
-CostParams CostParams::OptimizerBeliefs() {
-  CostParams p;
-  // The optimizer is optimistic about stage startup and scheduling: it
-  // under-costs very wide stages (one of the systematic model errors that
-  // make "low cost, high runtime" jobs exist — paper Figure 5).
-  p.vertex_startup = 0.6;
-  p.coordination_per_vertex = 0.004;
-  return p;
-}
-
-CostParams CostParams::ClusterTruth() { return CostParams{}; }
-
-CostParams CostParams::Calibrated(double cpu_scale, double io_scale, double startup_scale) {
-  CostParams p = OptimizerBeliefs();
-  cpu_scale = std::max(0.0, cpu_scale);
-  io_scale = std::max(0.0, io_scale);
-  startup_scale = std::max(0.0, startup_scale);
-  p.read_per_byte *= io_scale;
-  p.write_per_byte *= io_scale;
-  p.net_per_byte *= io_scale;
-  p.cpu_per_cmp *= cpu_scale;
-  p.cpu_per_projection *= cpu_scale;
-  p.hash_build_per_row *= cpu_scale;
-  p.hash_probe_per_row *= cpu_scale;
-  p.merge_per_row *= cpu_scale;
-  p.loop_per_row_pair *= cpu_scale;
-  p.seek_per_row *= cpu_scale;
-  p.agg_update_per_row *= cpu_scale;
-  p.stream_agg_per_row *= cpu_scale;
-  p.sort_per_row_log *= cpu_scale;
-  p.topn_per_row *= cpu_scale;
-  p.emit_per_row *= cpu_scale;
-  p.udo_per_row_unit *= cpu_scale;
-  p.vertex_startup *= startup_scale;
-  p.coordination_per_vertex *= startup_scale;
-  return p;
-}
-
 namespace {
 
 double Log2Of(double x) { return std::log2(std::max(2.0, x)); }

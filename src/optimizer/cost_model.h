@@ -42,16 +42,20 @@ struct CostParams {
   /// The parameters the optimizer uses for costing. Identical work rates but
   /// optimistic about parallelism overheads — one of the paper's systematic
   /// cost-model errors (the real cluster pays more for wide stages).
-  static CostParams OptimizerBeliefs();
+  static constexpr CostParams OptimizerBeliefs();
   /// The parameters the simulated cluster actually exhibits.
-  static CostParams ClusterTruth();
-  /// OptimizerBeliefs with work rates rescaled by calibration-fitted
-  /// weights (catalog/calibration.h): `cpu_scale` multiplies per-row
-  /// compute rates, `io_scale` per-byte rates, `startup_scale` the stage
-  /// startup and coordination overheads the optimizer systematically
-  /// under-costs.
-  static CostParams Calibrated(double cpu_scale, double io_scale, double startup_scale);
+  static constexpr CostParams ClusterTruth() { return CostParams{}; }
 };
+
+constexpr CostParams CostParams::OptimizerBeliefs() {
+  CostParams p;
+  // The optimizer is optimistic about stage startup and scheduling: it
+  // under-costs very wide stages (one of the systematic model errors that
+  // make "low cost, high runtime" jobs exist — paper Figure 5).
+  p.vertex_startup = 0.6;
+  p.coordination_per_vertex = 0.004;
+  return p;
+}
 
 /// Local (per-operator) cost decomposition.
 struct OpCost {

@@ -8,11 +8,24 @@
 #include <deque>
 #include <unordered_map>
 
+#include "optimizer/cost_model.h"
+
 namespace qsteer {
 
 namespace {
 
 using Family = CompileSession::Family;
+
+/// Exploration budget (SCOPE-style caps keep huge DAG jobs tractable): the
+/// logical expressions a rewrite to a bare group aliases into its target.
+constexpr int kMaxGroupAliasCopies = 4;
+
+/// Parallelism search.
+constexpr int kMaxDop = 128;
+constexpr double kBytesPerVertex = 2.56e8;  // sizing heuristic: ~256 MB per vertex
+
+/// The parameters every compile costs with.
+constexpr CostParams kCostParams = CostParams::OptimizerBeliefs();
 
 /// A compile's wall-clock budget, shared by the family's exploration and
 /// the search.
@@ -236,15 +249,17 @@ class FamilyExplorer {
         norm_keepalive_.push_back(out);
         // Collapsing can expose a deeper stack; renormalize this node.
         return (*done)[node.get()] = NormalizeNode(out, done);
-      } else if (out->children[0]->op.kind == OpKind::kJoin ||
-                 out->children[0]->op.kind == OpKind::kUnionAll ||
-                 out->children[0]->op.kind == OpKind::kProject) {
-        PlanNodePtr pushed = PushSelectDown(out, done);
-        if (pushed != out) {
-          return (*done)[node.get()] = pushed;
+      } else {
+        const OpKind child_kind = out->children[0]->op.kind;
+        if (child_kind == OpKind::kJoin || child_kind == OpKind::kUnionAll ||
+            child_kind == OpKind::kProject) {
+          PlanNodePtr pushed = PushSelectDown(out, done);
+          if (pushed != out) return (*done)[node.get()] = pushed;
         }
-        // Fall through to predicate normalization on the unpushed select.
         if (config_.IsEnabled(rules::kSelectPredNormalized)) {
+          // SelectPredNormalized, also on a select that could not be pushed
+          // down: canonical conjunct order (changes which conjuncts the
+          // estimator's backoff dampens).
           std::vector<ExprPtr> conjuncts = SplitConjuncts(out->op.predicate);
           if (conjuncts.size() >= 2) {
             std::vector<ExprPtr> sorted = conjuncts;
@@ -258,23 +273,6 @@ class FamilyExplorer {
               normalization_rules_used_.push_back(rules::kSelectPredNormalized);
               out = PlanNode::Make(std::move(normalized_op), {out->children[0]});
             }
-          }
-        }
-      } else if (config_.IsEnabled(rules::kSelectPredNormalized)) {
-        // SelectPredNormalized: canonical conjunct order (changes which
-        // conjuncts the estimator's backoff dampens).
-        std::vector<ExprPtr> conjuncts = SplitConjuncts(out->op.predicate);
-        if (conjuncts.size() >= 2) {
-          std::vector<ExprPtr> sorted = conjuncts;
-          std::sort(sorted.begin(), sorted.end(), [](const ExprPtr& a, const ExprPtr& b) {
-            return a->Hash(true) < b->Hash(true);
-          });
-          if (sorted != conjuncts) {
-            Operator normalized_op;
-            normalized_op.kind = OpKind::kSelect;
-            normalized_op.predicate = Expr::And(std::move(sorted));
-            normalization_rules_used_.push_back(rules::kSelectPredNormalized);
-            out = PlanNode::Make(std::move(normalized_op), {out->children[0]});
           }
         }
       }
@@ -387,7 +385,7 @@ class FamilyExplorer {
       int copied = 0;
       std::vector<ExprId> to_copy = leaf.exprs;  // snapshot: AddExpr mutates
       for (ExprId eid : to_copy) {
-        if (copied >= options_.max_group_alias_copies) break;
+        if (copied >= kMaxGroupAliasCopies) break;
         if (!memo_.expr(eid).is_logical) continue;
         if (static_cast<int>(memo_.group(target_group).exprs.size()) >=
             options_.max_exprs_per_group) {
@@ -448,8 +446,7 @@ class CompileState {
  public:
   CompileState(const Optimizer& optimizer, const Job& job, const RuleConfig& config,
                const Family& family, Deadline* deadline)
-      : options_(optimizer.options()),
-        config_(config),
+      : config_(config),
         deadline_(deadline),
         family_(family),
         memo_(family.memo),
@@ -553,10 +550,9 @@ class CompileState {
   SmallVector<int, 2> DopCandidates(double bytes, int required_dop) const {
     if (required_dop > 0) return {required_dop};
     int work = static_cast<int>(
-        std::clamp(bytes / options_.bytes_per_vertex, 1.0,
-                   static_cast<double>(options_.max_dop)));
+        std::clamp(bytes / kBytesPerVertex, 1.0, static_cast<double>(kMaxDop)));
     SmallVector<int, 2> out = {work};
-    int doubled = std::min(work * 2, options_.max_dop);
+    int doubled = std::min(work * 2, kMaxDop);
     if (doubled != work) out.push_back(doubled);
     return out;
   }
@@ -634,7 +630,7 @@ class CompileState {
         exchange_op_.exchange_keys.assign(exchange->keys.begin(), exchange->keys.end());
         exchange_op_.dop = exchange->dop;
         extra += ComputeOpCost(exchange_op_, stats, enforcer_input_, exchange_op_.dop,
-                               options_.cost_params, est_view_)
+                               kCostParams, est_view_)
                      .latency;
       }
     }
@@ -644,8 +640,8 @@ class CompileState {
       sort->dop = std::max(1, delivered->dop);
       sort_op_.sort_keys.assign(sort->keys.begin(), sort->keys.end());
       sort_op_.dop = sort->dop;
-      extra += ComputeOpCost(sort_op_, stats, enforcer_input_, sort_op_.dop,
-                             options_.cost_params, est_view_)
+      extra += ComputeOpCost(sort_op_, stats, enforcer_input_, sort_op_.dop, kCostParams,
+                             est_view_)
                    .latency;
       delivered->sort_keys = required.sort_keys;
     }
@@ -968,13 +964,13 @@ class CompileState {
             // Delivered parallelism is the union of all source partitions.
             int total = 0;
             for (int child : child_winners) total += std::max(1, WinnerAt(child).delivered.dop);
-            opt.delivered.dop = std::min(total, options_.max_dop * 2);
+            opt.delivered.dop = std::min(total, kMaxDop * 2);
             opt.dop = opt.delivered.dop;
           }
         }
 
         OpCost local = ComputeOpCost(expr.op, stats, child_stats, std::max(1, opt.dop),
-                                     options_.cost_params, est_view_);
+                                     kCostParams, est_view_);
         cost += local.latency;
 
         PhysProp delivered = opt.delivered;
@@ -1059,7 +1055,6 @@ class CompileState {
     return node;
   }
 
-  const OptimizerOptions& options_;
   const RuleConfig& config_;
   Deadline* deadline_;
   const Family& family_;

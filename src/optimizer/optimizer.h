@@ -16,7 +16,6 @@
 
 #include "catalog/catalog.h"
 #include "common/status.h"
-#include "optimizer/cost_model.h"
 #include "optimizer/memo.h"
 #include "optimizer/rule_config.h"
 #include "optimizer/rule_registry.h"
@@ -29,13 +28,6 @@ struct OptimizerOptions {
   /// Exploration budgets (SCOPE-style caps keep huge DAG jobs tractable).
   int max_exprs_per_group = 12;
   int max_total_exprs = 4000;
-  int max_group_alias_copies = 4;
-
-  /// Parallelism search.
-  int max_dop = 128;
-  double bytes_per_vertex = 2.56e8;  // sizing heuristic: ~256 MB per vertex
-
-  CostParams cost_params = CostParams::OptimizerBeliefs();
 };
 
 /// Result of one compilation.
@@ -174,7 +166,6 @@ class Optimizer {
                                const CompileControl& control = {},
                                CompileSession* session = nullptr) const;
 
-  const OptimizerOptions& options() const { return options_; }
   const Catalog* catalog() const { return catalog_; }
 
  private:

@@ -448,32 +448,4 @@ Result<PlanNodePtr> DeserializePlan(ByteReader* reader) {
   return nodes[root_index];
 }
 
-void SerializeExpr(const ExprPtr& expr, ByteWriter* writer) {
-  if (expr == nullptr) {
-    writer->PutU8(0);
-    return;
-  }
-  writer->PutU8(1);
-  ExprTable table;
-  table.Add(expr);
-  WriteExprTable(table, writer);
-  writer->PutU32(table.IndexOf(expr.get()));
-}
-
-Result<ExprPtr> DeserializeExpr(ByteReader* reader) {
-  uint8_t present = 0;
-  Status status = reader->GetU8(&present);
-  if (!status.ok()) return status;
-  if (present == 0) return ExprPtr();
-  if (present != 1) return Status::InvalidArgument("serde: bad expression presence marker");
-  Result<std::vector<ExprPtr>> exprs = ReadExprTable(reader);
-  if (!exprs.ok()) return exprs.status();
-  uint32_t root_index = 0;
-  if (!(status = reader->GetU32(&root_index)).ok()) return status;
-  if (root_index >= exprs.value().size()) {
-    return Status::InvalidArgument("serde: expression root index out of range");
-  }
-  return exprs.value()[root_index];
-}
-
 }  // namespace qsteer

@@ -84,11 +84,6 @@ void SerializePlan(const PlanNodePtr& root, ByteWriter* writer);
 /// back shared; a corrupt blob returns a non-OK status.
 Result<PlanNodePtr> DeserializePlan(ByteReader* reader);
 
-/// Expression-only round trip (the plan serializer uses these internally;
-/// exposed for tests and any future expression-level artifact).
-void SerializeExpr(const ExprPtr& expr, ByteWriter* writer);
-Result<ExprPtr> DeserializeExpr(ByteReader* reader);
-
 }  // namespace qsteer
 
 #endif  // QSTEER_PLAN_SERDE_H_

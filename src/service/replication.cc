@@ -12,6 +12,9 @@ namespace qsteer {
 
 namespace {
 
+/// Admission budget: concurrent serves per replica before re-routing.
+constexpr int kMaxInflightPerReplica = 64;
+
 std::string TailFrame(uint64_t epoch,
                       const std::vector<std::pair<uint64_t, std::string>>& entries) {
   std::string frame =
@@ -188,7 +191,6 @@ Status ReplicationFleet::Start() {
     DurableStoreOptions store_options;
     store_options.snapshot_interval = options_.snapshot_interval;
     store_options.sync = options_.sync;
-    store_options.recommender = options_.recommender;
     if (!options_.dir.empty()) {
       store_options.dir = options_.dir + "/replica_" + std::to_string(i);
       std::error_code ec;
@@ -416,7 +418,7 @@ Status ReplicationFleet::ServeOnce(const RuleSignature& signature, ServeResult* 
       out->rerouted = true;
       continue;
     }
-    if (!node->TryAdmit(options_.max_inflight_per_replica)) {
+    if (!node->TryAdmit(kMaxInflightPerReplica)) {
       out->rerouted = true;
       continue;
     }

@@ -166,8 +166,6 @@ struct FleetOptions {
   /// A follower more than this many events behind the leader sheds
   /// serving requests to the leader until it catches up.
   uint64_t staleness_bound = 128;
-  /// Admission budget: concurrent serves per replica before re-routing.
-  int max_inflight_per_replica = 64;
   /// Entries buffered in each replica's in-memory ReplicationLog.
   size_t replication_log_cap = 4096;
   int ring_vnodes = 64;
@@ -175,7 +173,6 @@ struct FleetOptions {
   /// retry with simulated backoff under this policy before surfacing to the
   /// caller — an election in flight usually completes within one backoff.
   RetryPolicy serve_retry;
-  RecommenderOptions recommender;
 };
 
 struct FleetStatus {

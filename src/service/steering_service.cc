@@ -10,6 +10,9 @@
 namespace qsteer {
 namespace {
 
+/// EWMA smoothing factor for observed service times.
+constexpr double kEwmaAlpha = 0.2;
+
 /// Runtime change of `alt` against `base`, in percent. A run that stayed
 /// failed after retries is the worst regression we can observe (100).
 double RuntimeChangePct(const ExecMetrics& base, const ExecMetrics& alt) {
@@ -18,20 +21,6 @@ double RuntimeChangePct(const ExecMetrics& base, const ExecMetrics& alt) {
 }
 
 }  // namespace
-
-const char* AdmitResultName(AdmitResult result) {
-  switch (result) {
-    case AdmitResult::kAccepted:
-      return "accepted";
-    case AdmitResult::kQueueFull:
-      return "queue-full";
-    case AdmitResult::kShedDeadline:
-      return "shed-deadline";
-    case AdmitResult::kNotRunning:
-      return "not-running";
-  }
-  return "?";
-}
 
 std::string ServiceStatusSnapshot::ToString() const {
   std::ostringstream out;
@@ -253,8 +242,8 @@ void SteeringService::FinishRequest(std::promise<ServiceReply> promise, ServiceR
     if (service_time_ewma_s_ <= 0.0) {
       service_time_ewma_s_ = elapsed_s;
     } else {
-      service_time_ewma_s_ = options_.ewma_alpha * elapsed_s +
-                             (1.0 - options_.ewma_alpha) * service_time_ewma_s_;
+      service_time_ewma_s_ =
+          kEwmaAlpha * elapsed_s + (1.0 - kEwmaAlpha) * service_time_ewma_s_;
     }
     ++finished_;
     if (failed) {

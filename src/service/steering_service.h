@@ -65,8 +65,6 @@ struct ServiceOptions {
   /// Seed of the service-time EWMA used by admission control, seconds.
   /// 0 starts the estimate at the first observed service time.
   double initial_service_time_ewma_s = 0.0;
-  /// EWMA smoothing factor for observed service times.
-  double ewma_alpha = 0.2;
   /// Enables the background re-analysis worker.
   bool enable_reanalysis = true;
   /// Pre-warm the compile cache from this SaveCompileCache artifact at
@@ -91,7 +89,6 @@ enum class AdmitResult {
   /// Service not started, draining, or shut down.
   kNotRunning = 3,
 };
-const char* AdmitResultName(AdmitResult result);
 
 struct ServiceRequest {
   Job job;

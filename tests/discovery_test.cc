@@ -354,7 +354,7 @@ TEST_F(DiscoveryTest, ForeignPartitionArtifactsAreStaleNotTrusted) {
 
 TEST_F(DiscoveryTest, StragglersAreSpeculativelyRedispatchedWithoutChangingOutput) {
   // Every dispatch is a straggler: leases expire and speculative copies are
-  // dispatched up to max_lease_attempts. The schedule shapes counters and
+  // dispatched up to the attempt cap. The schedule shapes counters and
   // commit order only — the merged bytes must not move.
   UnshardedDiscovery reference = Reference(3, Options(""));
   TempDir dir;

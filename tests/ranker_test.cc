@@ -148,6 +148,14 @@ TEST(CandidateRanker, FeatureRowsAreWellFormed) {
   EXPECT_EQ(example.features.back(), 1.0);
 }
 
+TEST(CandidateRanker, OptionsLineKeepsItsBytes) {
+  // Every persisted ranker starts with its constants: hidden width, seed,
+  // prior weight, learning rate, epochs per batch and the examples trained
+  // before the model is trusted. A changed constant changes these bytes.
+  const std::string line = "options 16 1 0.59999999999999998 0.0050000000000000001 2 48\n";
+  EXPECT_EQ(CandidateRanker().Serialize().substr(0, line.size()), line);
+}
+
 TEST(CandidateRanker, TrainingIsDeterministic) {
   CandidateRanker a, b;
   std::vector<RankerExample> batch = SyntheticExamples(a, 120);

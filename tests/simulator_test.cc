@@ -66,8 +66,7 @@ TEST_F(SimulatorTest, DeterministicModeIsNoiseFree) {
 }
 
 TEST_F(SimulatorTest, ShortJobsNoisierThanLongJobs) {
-  SimulatorOptions options;
-  ExecutionSimulator sim(&workload_.catalog(), options);
+  ExecutionSimulator sim(&workload_.catalog());
   // Find a short and a long job under the default config.
   double short_rel_spread = -1, long_rel_spread = -1;
   for (int t = 0; t < 20; ++t) {
@@ -79,7 +78,7 @@ TEST_F(SimulatorTest, ShortJobsNoisierThanLongJobs) {
     double hi = *std::max_element(runs.begin(), runs.end());
     double mid = (lo + hi) / 2;
     double spread = (hi - lo) / mid;
-    if (mid < options.short_job_threshold) {
+    if (mid < kShortJobThreshold) {
       short_rel_spread = std::max(short_rel_spread, spread);
     } else {
       long_rel_spread = std::max(long_rel_spread, spread);

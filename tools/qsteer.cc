@@ -6,7 +6,7 @@
 //   compile <A|B|C> <template> <day> [hint-string]
 //                                          compile a job (EXPLAIN output)
 //   span <A|B|C> <template> <day>          Algorithm 1 job span
-//   analyze <A|B|C> <template> <day> [threads]
+//   analyze <A|B|C> <template> <day> [threads] [flags]
 //                                          full §5-§6 pipeline for one job;
 //                                          threads > 0 parallelizes candidate
 //                                          recompilation (same results; the
@@ -14,7 +14,22 @@
 //                                          thread count); also reports the
 //                                          default plan's
 //                                          per-node estimate-vs-truth
-//                                          cardinality q-error summary
+//                                          cardinality q-error summary. Flags:
+//                                            --wal-dir=<dir>  recover the
+//                                              durable store there, learn
+//                                              this analysis into it and
+//                                              snapshot it
+//                                            --discovery-dir=<dir> print the
+//                                              last discover-sharded summary
+//                                              written there
+//                                            --compile-budget=<n>
+//                                              candidate compiles (0 = all)
+//                                            --rank-candidates  spend the
+//                                              budget on the ranker's top
+//                                              candidates
+//                                            --ranker-in=<file> warm the
+//                                              ranker (requires
+//                                              --rank-candidates)
 //   calibrate <A|B|C|S|K> [day] [flags]    cost-model calibration harness:
 //                                          deterministic probe queries,
 //                                          selectivity q-error percentiles
@@ -99,6 +114,11 @@
 //
 // Hint strings use the §3.2 flag syntax, e.g.
 //   qsteer compile B 4 7 "DISABLE(UnionAllToUnionAll);ENABLE(CorrelatedJoinOnUnionAll2)"
+//
+// Environment:
+//   QSTEER_SCALE  workload scale in [1e-9, 1000] (default 0.005); a value
+//                 outside that range, or not a number, exits 2 naming the
+//                 variable.
 #include <algorithm>
 #include <cstdio>
 #include <cstdlib>
@@ -134,8 +154,9 @@ int Usage() {
                "  workload <A|B|C> [day]\n"
                "  compile <A|B|C> <template> <day> [hint-string]\n"
                "  span <A|B|C> <template> <day>\n"
-               "  analyze <A|B|C> <template> <day> [threads] [--discovery-dir=DIR]\n"
-               "        [--compile-budget=N] [--rank-candidates] [--ranker-in=FILE]\n"
+               "  analyze <A|B|C> <template> <day> [threads] [--wal-dir=DIR]\n"
+               "        [--discovery-dir=DIR] [--compile-budget=N] [--rank-candidates]\n"
+               "        [--ranker-in=FILE]\n"
                "  calibrate <A|B|C|S|K> [day] [--stats-model=scalar|histogram|both] "
                "[--smoke]\n"
                "  serve <A|B|C> <days> [fault_level] [--wal-dir=DIR] "
@@ -178,12 +199,15 @@ bool ParsePathFlag(const char* command, const char* arg, std::string* out) {
   return false;
 }
 
+/// The named workload at QSTEER_SCALE. A malformed scale exits 2: running
+/// at the default instead would silently change the workload.
 WorkloadSpec SpecFor(const std::string& which) {
   double scale = 0.005;
   if (const char* env = std::getenv("QSTEER_SCALE")) {
     if (!ParseDoubleArg(env, 1e-9, 1000.0, &scale)) {
-      std::fprintf(stderr, "qsteer: ignoring bad QSTEER_SCALE '%s' (using %.3f)\n", env,
-                   scale);
+      std::fprintf(stderr,
+                   "qsteer: bad QSTEER_SCALE '%s' (expected a number in [1e-9, 1000])\n", env);
+      std::exit(2);
     }
   }
   if (which == "B") return WorkloadSpec::WorkloadB(scale);
